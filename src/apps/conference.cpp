@@ -8,9 +8,7 @@ namespace wgtt::apps {
 ConferenceApp::ConferenceApp(sim::Scheduler& sched,
                              transport::IpIdAllocator& ip_ids,
                              ConferenceConfig cfg)
-    : sched_(sched), ip_ids_(ip_ids), cfg_(cfg) {
-  health_ = obs::HealthEngine::current();
-}
+    : sched_(sched), ip_ids_(ip_ids), cfg_(cfg) {}
 
 void ConferenceApp::start() {
   if (running_) return;
@@ -47,7 +45,7 @@ void ConferenceApp::send_frame() {
     p.size_bytes = std::min(cfg_.fragment_bytes, remaining) + 28;
     p.created = sched_.now();
     if (transmit) {
-      if (health_) health_->packet_sent();
+      obs_.ledger(p, obs::Ledger::kSent);
       transmit(net::make_packet(std::move(p)));
     }
   }
@@ -55,7 +53,7 @@ void ConferenceApp::send_frame() {
 }
 
 void ConferenceApp::on_packet(const net::PacketPtr& pkt) {
-  if (health_) health_->packet_delivered();
+  obs_.ledger(*pkt, obs::Ledger::kDelivered);
   const std::uint64_t frame_id = pkt->seq >> 32;
   const std::size_t fragments = pkt->seq & 0xFFFF;
   FrameProgress& fp = pending_[frame_id];

@@ -18,9 +18,9 @@
 #include <map>
 
 #include "net/packet.h"
+#include "obs/context.h"
 #include "sim/scheduler.h"
 #include "transport/udp_flow.h"
-#include "util/health.h"
 #include "util/stats.h"
 
 namespace wgtt::apps {
@@ -67,7 +67,7 @@ class ConferenceApp {
   sim::Scheduler& sched_;
   transport::IpIdAllocator& ip_ids_;
   ConferenceConfig cfg_;
-  obs::HealthEngine* health_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
   bool running_ = false;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_rendered_ = 0;

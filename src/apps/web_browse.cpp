@@ -6,7 +6,6 @@ WebBrowseApp::WebBrowseApp(sim::Scheduler& sched,
                            transport::IpIdAllocator& ip_ids,
                            transport::TcpConfig tcp_cfg, WebBrowseConfig cfg)
     : sched_(sched), ip_ids_(ip_ids), cfg_(cfg) {
-  health_ = obs::HealthEngine::current();
   object_bytes_ = cfg_.page_bytes / cfg_.num_objects;
   conns_.reserve(cfg_.parallel_connections);
   conn_outstanding_bytes_.assign(cfg_.parallel_connections, 0);
@@ -51,7 +50,7 @@ void WebBrowseApp::send_request(std::size_t conn_index, std::size_t object,
   p.created = sched_.now();
   p.payload = WebRequestMsg{object, conns_[conn_index]->flow_id()};
   if (transmit_request) {
-    if (health_) health_->packet_sent();
+    obs_.ledger(p, obs::Ledger::kSent);
     transmit_request(net::make_packet(std::move(p)));
   }
 
@@ -67,7 +66,7 @@ void WebBrowseApp::send_request(std::size_t conn_index, std::size_t object,
 void WebBrowseApp::on_request(const WebRequestMsg& req) {
   // The request packet reached the server: its ledger instance terminates
   // here even when the object was already served by an earlier retry.
-  if (health_) health_->packet_delivered();
+  obs_.count(obs::Ledger::kDelivered, 1);
   const std::size_t conn_index = req.flow_id - cfg_.first_flow_id;
   if (conn_index >= conns_.size()) return;
   // A retried request may arrive after the original: serve each object once.

@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "obs/context.h"
 #include "transport/tcp_connection.h"
-#include "util/health.h"
 
 namespace wgtt::apps {
 
@@ -76,7 +76,7 @@ class WebBrowseApp {
   sim::Scheduler& sched_;
   transport::IpIdAllocator& ip_ids_;
   WebBrowseConfig cfg_;
-  obs::HealthEngine* health_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
   std::vector<std::unique_ptr<transport::TcpConnection>> conns_;
   std::vector<std::size_t> conn_outstanding_bytes_;  // remaining in cur object
   std::vector<bool> conn_got_bytes_;  // response started (stop retrying)

@@ -28,8 +28,8 @@
 #include "mac/wifi_device.h"
 #include "net/backhaul.h"
 #include "net/packet.h"
+#include "obs/context.h"
 #include "sim/scheduler.h"
-#include "util/health.h"
 
 namespace wgtt::baseline {
 
@@ -62,7 +62,7 @@ class Distribution {
 
   sim::Scheduler& sched_;
   net::Backhaul& backhaul_;
-  obs::HealthEngine* health_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
   Time relearn_delay_;
   std::map<net::NodeId, net::NodeId> assoc_;          // effective (post-delay)
   std::map<net::NodeId, net::NodeId> pending_assoc_;  // announced, not live yet
@@ -109,7 +109,7 @@ class BaselineAp {
   sim::Scheduler& sched_;
   net::Backhaul& backhaul_;
   mac::WifiDevice& device_;
-  obs::HealthEngine* health_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
   BaselineApConfig cfg_;
   std::map<net::NodeId, std::deque<net::PacketPtr>> kernel_queues_;
   std::uint16_t next_aid_ = 1;

@@ -7,6 +7,7 @@
 #include <limits>
 #include <span>
 
+#include "obs/context.h"
 #include "phy/esnr.h"
 #include "util/units.h"
 #include "util/vec_math.h"
@@ -21,8 +22,7 @@ ChannelModel::ChannelModel(RadioConfig radio, PathLossConfig pathloss,
       shadowing_cfg_(shadowing),
       fading_cfg_(fading),
       rng_(rng) {
-  if (auto* p = prof::Profiler::current()) {
-    prof_ = p;
+  if (auto* p = obs::Context::current().profiler) {
     p_csi_ = &p->section("channel.csi");
   }
   fading_cfg_.carrier_hz = radio_.carrier_hz;
@@ -114,7 +114,7 @@ void ChannelModel::refresh_fading(Link& l, double travelled) const {
 
 phy::Csi ChannelModel::make_csi(net::NodeId ap_id, net::NodeId client_id,
                                 Time t, double tx_power_dbm) const {
-  prof::ScopedSection timer(prof_, p_csi_);
+  prof::ScopedSection timer(p_csi_);
   const ApSite& site = ap(ap_id);
   auto cit = clients_.find(client_id);
   assert(cit != clients_.end());
@@ -223,7 +223,7 @@ double ChannelModel::path_gain_db(net::NodeId a, net::NodeId b, Time t) const {
 double ChannelModel::downlink_selection_esnr_db(net::NodeId ap_id,
                                                 net::NodeId client_id,
                                                 Time t) const {
-  prof::ScopedSection timer(prof_, p_csi_);
+  prof::ScopedSection timer(p_csi_);
   const ApSite& site = ap(ap_id);
   auto cit = clients_.find(client_id);
   assert(cit != clients_.end());

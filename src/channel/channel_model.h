@@ -162,8 +162,7 @@ class ChannelModel {
   mutable std::map<std::pair<net::NodeId, net::NodeId>, Link> links_;
   double candidate_radius_m_ = std::numeric_limits<double>::infinity();
   // Host-time profiling of the per-subcarrier CSI synthesis (the channel's
-  // hot path); null when the sim has no profiler context.
-  prof::Profiler* prof_ = nullptr;
+  // hot path); null when the sim has no profiler.
   prof::Section* p_csi_ = nullptr;
 };
 

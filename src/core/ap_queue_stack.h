@@ -27,11 +27,9 @@
 
 #include "core/cyclic_queue.h"
 #include "mac/wifi_device.h"
-#include "net/flight_recorder.h"
 #include "net/packet.h"
+#include "obs/context.h"
 #include "sim/scheduler.h"
-#include "util/causal.h"
-#include "util/health.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -108,13 +106,10 @@ class ApQueueStack {
   std::uint64_t stale_dropped_ = 0;
   std::uint64_t purged_ = 0;
   std::uint64_t ring_evictions_seen_ = 0;  // overruns+discards already retired
-  // Instrumentation (null when the sim has no metrics/trace context).
+  // Instrumentation (null when the sim has no metrics/trace sink).
+  obs::Context obs_ = obs::Context::current();
   metrics::Histogram* m_backlog_ = nullptr;
   metrics::Counter* m_activations_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  net::FlightRecorder* recorder_ = nullptr;
-  obs::CausalTracer* causal_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
 };
 
 }  // namespace wgtt::core

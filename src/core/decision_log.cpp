@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/jsonl.h"
 #include "util/trace.h"
 
 namespace wgtt::core {
@@ -33,8 +34,6 @@ const char* to_string(DecisionReason r) {
 
 namespace {
 
-thread_local DecisionLog* t_current_decision_log = nullptr;
-
 // Fixed-point milli-units via integer arithmetic: byte-identical rendering of
 // doubles across platforms (printf %g is not).
 std::string format_milli(double v) {
@@ -44,17 +43,14 @@ std::string format_milli(double v) {
 
 }  // namespace
 
-DecisionLog::DecisionLog(bool protocol_extensions) {
-  // Schema header line.  Not a decision record (entries_ stays 0): it
-  // declares the stream identity + version so consumers fail loudly on a
-  // format they do not understand instead of mis-parsing it.  Only runs with
-  // the hardened control plane armed advertise version 2 (which adds the
-  // "resync" reason); fault-free logs stay byte-identical to version 1.
-  out_ += "{\"kind\":\"schema\",\"stream\":\"wgtt.decisions\",\"version\":";
-  out_ += std::to_string(protocol_extensions ? kDecisionLogSchemaVersionResync
-                                             : kDecisionLogSchemaVersion);
-  out_ += "}\n";
-}
+// Only runs with the hardened control plane armed advertise version 2 (which
+// adds the "resync" reason); fault-free logs stay byte-identical to version 1.
+DecisionLog::DecisionLog(bool protocol_extensions)
+    : out_(obs::jsonl_document("wgtt.decisions",
+                               protocol_extensions
+                                   ? kDecisionLogSchemaVersionResync
+                                   : kDecisionLogSchemaVersion,
+                               0)) {}
 
 void DecisionLog::append(const DecisionRecord& rec) {
   // Hand-rolled serialization (field order fixed by this code, numbers
@@ -112,19 +108,6 @@ void DecisionLog::append_liveness(const LivenessRecord& rec) {
   s += trace::Tracer::format_ts(rec.quarantine);
   s += "}\n";
   ++liveness_entries_;
-}
-
-DecisionLog* DecisionLog::current() { return t_current_decision_log; }
-
-ScopedDecisionLog::ScopedDecisionLog(DecisionLog* log) {
-  if (log == nullptr) return;
-  installed_ = log;
-  previous_ = t_current_decision_log;
-  t_current_decision_log = log;
-}
-
-ScopedDecisionLog::~ScopedDecisionLog() {
-  if (installed_ != nullptr) t_current_decision_log = previous_;
 }
 
 }  // namespace wgtt::core

@@ -12,12 +12,6 @@
 // microsecond rendering and ESNR medians are fixed-point milli-dB integers,
 // so a fixed-seed run produces byte-identical output on any platform and the
 // records cross-link to trace spans by simulated timestamp.
-//
-// Thread-scoped exactly like LogSink / MetricsRegistry / Tracer: a
-// DecisionLog is owned by one Testbed, installed as the constructing
-// thread's context-current log, and the controller caches `current()` once
-// at construction — a null pointer (logging off) costs one branch per
-// selection pass.
 #pragma once
 
 #include <cstdint>
@@ -115,29 +109,11 @@ class DecisionLog {
   /// The accumulated JSONL document (one '\n'-terminated object per line).
   const std::string& jsonl() const { return out_; }
 
-  /// The log the calling thread's current simulation records into, or
-  /// nullptr when decision auditing is off (the default).
-  static DecisionLog* current();
-
  private:
   std::string out_;
   std::size_t entries_ = 0;
   std::size_t liveness_entries_ = 0;
   std::uint64_t switches_ = 0;  // records with outcome kSwitch
-};
-
-/// Install `log` as the calling thread's current decision log for this
-/// object's lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedDecisionLog {
- public:
-  explicit ScopedDecisionLog(DecisionLog* log);
-  ~ScopedDecisionLog();
-  ScopedDecisionLog(const ScopedDecisionLog&) = delete;
-  ScopedDecisionLog& operator=(const ScopedDecisionLog&) = delete;
-
- private:
-  DecisionLog* installed_ = nullptr;
-  DecisionLog* previous_ = nullptr;
 };
 
 }  // namespace wgtt::core

@@ -28,9 +28,9 @@
 #include "mac/wifi_device.h"
 #include "net/backhaul.h"
 #include "net/fault_injector.h"
-#include "net/flight_recorder.h"
-#include "phy/csi.h"
 #include "net/packet.h"
+#include "obs/context.h"
+#include "phy/csi.h"
 #include "sim/scheduler.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -164,9 +164,7 @@ class WgttAp {
   std::map<net::NodeId, SeenBa> seen_ba_;
   std::uint16_t next_aid_ = 1;
   WgttApStats stats_;
-  net::FlightRecorder* recorder_ = nullptr;
-  obs::CausalTracer* causal_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
   // Fault wiring (null/false/empty unless a FaultInjector is installed).
   net::FaultInjector* injector_ = nullptr;
   bool down_ = false;

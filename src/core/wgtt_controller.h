@@ -30,15 +30,12 @@
 #include "core/handoff_policy.h"
 #include "net/backhaul.h"
 #include "net/fault_injector.h"
-#include "net/flight_recorder.h"
 #include "net/packet.h"
+#include "obs/context.h"
 #include "sim/scheduler.h"
-#include "util/causal.h"
-#include "util/health.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/stats.h"
-#include "util/trace.h"
 
 namespace wgtt::core {
 
@@ -271,6 +268,8 @@ class WgttController {
   void initiate_switch(net::NodeId client, ClientState& st, net::NodeId target,
                        SwitchStyle style = SwitchStyle::kStopStart,
                        Time bicast_hold = Time::zero());
+  /// Open the switch's trace flow arrow (causal tracing and tracer both on).
+  void start_switch_flow(ClientState& st);
   void send_stop(net::NodeId client, ClientState& st);
   /// Start-first styles: originate start(c, resume-from-head) at the target
   /// without stopping the incumbent (it is quenched after the ack).
@@ -322,12 +321,7 @@ class WgttController {
   metrics::Counter* m_stale_acks_ = nullptr;
   metrics::Counter* m_retries_ = nullptr;
   metrics::Counter* m_resyncs_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  DecisionLog* decision_log_ = nullptr;
-  net::FlightRecorder* recorder_ = nullptr;
-  obs::CausalTracer* causal_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
-  prof::Profiler* prof_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
   prof::Section* p_selection_ = nullptr;
   prof::Section* p_csi_ = nullptr;
 };

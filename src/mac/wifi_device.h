@@ -36,13 +36,11 @@
 #include "mac/ampdu.h"
 #include "mac/block_ack.h"
 #include "mac/medium.h"
-#include "net/flight_recorder.h"
 #include "net/packet.h"
+#include "obs/context.h"
 #include "phy/error_model.h"
 #include "phy/rate_control.h"
 #include "sim/scheduler.h"
-#include "util/causal.h"
-#include "util/health.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/rng.h"
@@ -291,20 +289,16 @@ class WifiDevice {
   bool mgmt_in_flight_ = false;
   Time last_uplink_tx_ = Time::zero();
   DeviceStats stats_;
-  // Instrumentation, cached from the context-current registry/tracer at
-  // construction; null when off.
+  // Instrumentation, cached from the obs::Context at construction; null
+  // when off.
+  obs::Context obs_ = obs::Context::current();
   metrics::Counter* m_airtime_ns_ = nullptr;        // this radio
   metrics::Counter* m_airtime_total_ns_ = nullptr;  // all radios of the sim
   metrics::Histogram* m_ampdu_mpdus_ = nullptr;
   metrics::Counter* m_ba_rollups_ = nullptr;
   metrics::Histogram* m_mcs_index_ = nullptr;
   metrics::Histogram* m_esnr_db_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  prof::Profiler* prof_ = nullptr;
   prof::Section* p_exchange_ = nullptr;
-  net::FlightRecorder* recorder_ = nullptr;
-  obs::CausalTracer* causal_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
 };
 
 }  // namespace wgtt::mac

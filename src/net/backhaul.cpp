@@ -4,40 +4,13 @@
 
 namespace wgtt::net {
 
-namespace {
-
-/// Frames whose backhaul hops get causal annotations: the switch-protocol
-/// control messages (always — they are the switch critical path) and the
-/// sampled data packets.  CSI reports, heartbeats, and the other chatty
-/// control types stay edge-only, keeping the stream proportional to the
-/// interesting traffic.
-bool causal_annotated(const TunneledPacket& f, const obs::CausalTracer& c) {
-  if (f.inner == nullptr) return false;
-  switch (f.inner->type) {
-    case PacketType::kStop:
-    case PacketType::kStart:
-    case PacketType::kSwitchAck:
-      return true;
-    case PacketType::kData:
-    case PacketType::kTcpAck:
-      return c.sampled(f.inner->uid);
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 Backhaul::Backhaul(sim::Scheduler& sched, BackhaulConfig cfg, Rng rng)
     : sched_(sched), cfg_(cfg), rng_(rng) {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  if (auto* reg = obs_.metrics) {
     m_latency_us_ = &reg->histogram(
         "net.backhaul_latency_us", metrics::exponential_buckets(25.0, 2.0, 10));
     m_bytes_ = &reg->counter("net.backhaul_bytes");
   }
-  recorder_ = FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
   injector_ = FaultInjector::current();
 }
 
@@ -56,8 +29,6 @@ Time Backhaul::delivery_delay(std::size_t bytes) {
 }
 
 void Backhaul::send(TunneledPacket frame) {
-  const bool rec = recorder_ && frame.inner != nullptr &&
-                   flight_recorded(frame.inner->type);
   auto it = nodes_.find(frame.outer_dst);
   // Note the evaluation order matches the original short-circuit: the loss
   // coin is only tossed for attached destinations (RNG stream unchanged).
@@ -83,12 +54,9 @@ void Backhaul::send(TunneledPacket frame) {
   }
   if (dropped) {
     ++frames_dropped_;
-    if (health_ && frame.inner != nullptr && flight_recorded(frame.inner->type)) {
-      health_->packet_dropped();
-    }
-    if (rec) {
-      recorder_->drop(frame.inner->uid, sched_.now(), Hop::kBackhaulDrop,
-                      frame.outer_src, drop_cause, {{"dst", frame.outer_dst}});
+    if (frame.inner != nullptr) {
+      obs_.drop(*frame.inner, sched_.now(), Hop::kBackhaulDrop, frame.outer_src,
+                drop_cause, {{"dst", frame.outer_dst}});
     }
     return;
   }
@@ -128,18 +96,12 @@ void Backhaul::send(TunneledPacket frame) {
     m_latency_us_->record((arrival - sched_.now()).to_us());
     m_bytes_->add(frame.wire_bytes);
   }
-  if (rec) {
-    recorder_->record(frame.inner->uid, sched_.now(), Hop::kBackhaulTx,
-                      frame.outer_src,
-                      {{"dst", frame.outer_dst},
-                       {"bytes", static_cast<std::int64_t>(frame.wire_bytes)}});
-  }
-  const bool causal = causal_ != nullptr && causal_annotated(frame, *causal_);
-  if (causal) {
-    causal_->annotate("backhaul.tx",
-                      {{"uid", static_cast<std::int64_t>(frame.inner->uid)},
-                       {"src", frame.outer_src},
-                       {"dst", frame.outer_dst}});
+  if (frame.inner != nullptr) {
+    obs_.hop(*frame.inner, sched_.now(), Hop::kBackhaulTx, frame.outer_src,
+             obs::Ledger::kNone,
+             {{"dst", frame.outer_dst},
+              {"bytes", static_cast<std::int64_t>(frame.wire_bytes)}},
+             {{"src", frame.outer_src}, {"dst", frame.outer_dst}});
   }
   // msg_dup: schedule a second, slightly later delivery of the same control
   // frame (same uid, same ctrl_seq — exactly what a duplicating switch
@@ -156,17 +118,11 @@ void Backhaul::send(TunneledPacket frame) {
                        });
   }
   DeliverFn& deliver = it->second;
-  sched_.schedule_at(arrival, [this, rec, causal, &deliver,
-                               frame = std::move(frame)]() {
-    if (rec) {
-      recorder_->record(frame.inner->uid, sched_.now(), Hop::kBackhaulRx,
-                        frame.outer_dst, {{"src", frame.outer_src}});
-    }
-    if (causal) {
-      causal_->annotate("backhaul.rx",
-                        {{"uid", static_cast<std::int64_t>(frame.inner->uid)},
-                         {"src", frame.outer_src},
-                         {"dst", frame.outer_dst}});
+  sched_.schedule_at(arrival, [this, &deliver, frame = std::move(frame)]() {
+    if (frame.inner != nullptr) {
+      obs_.hop(*frame.inner, sched_.now(), Hop::kBackhaulRx, frame.outer_dst,
+               obs::Ledger::kNone, {{"src", frame.outer_src}},
+               {{"src", frame.outer_src}, {"dst", frame.outer_dst}});
     }
     deliver(frame);
   });

@@ -13,11 +13,9 @@
 #include <utility>
 
 #include "net/fault_injector.h"
-#include "net/flight_recorder.h"
 #include "net/packet.h"
+#include "obs/context.h"
 #include "sim/scheduler.h"
-#include "util/causal.h"
-#include "util/health.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -68,12 +66,10 @@ class Backhaul {
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t frames_duplicated_ = 0;
   std::uint64_t frames_reordered_ = 0;
-  // Instrumentation (null when the sim has no metrics context).
+  // Instrumentation (null when the sim has no metrics sink).
+  obs::Context obs_ = obs::Context::current();
   metrics::Histogram* m_latency_us_ = nullptr;
   metrics::Counter* m_bytes_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
-  obs::CausalTracer* causal_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
   // Fault injection (null outside chaos runs): per-frame link impairment
   // queries; drop coins come from the injector's stream, not rng_.
   FaultInjector* injector_ = nullptr;

@@ -6,13 +6,13 @@
 // ap_down()/csi_mode() and subscribes to crash transitions, the controller
 // checks for an installed injector to arm its liveness machinery.
 //
-// Thread-scoped exactly like LogSink / MetricsRegistry / Tracer /
-// FlightRecorder: the Testbed owns at most one injector, installs it as the
-// constructing thread's context-current injector, and every component caches
-// `current()` once at construction.  With no FaultPlan configured no
-// injector exists, `current()` is null everywhere, and not one scheduler
-// event, RNG draw, metric instrument, or trace byte differs from a build
-// without this subsystem.
+// Thread-scoped like LogSink, and kept out of obs::Context because it
+// changes behaviour rather than observing it: the Testbed owns at most one
+// injector, installs it as the constructing thread's current injector, and
+// every component caches `current()` once at construction.  With no
+// FaultPlan configured no injector exists, `current()` is null everywhere,
+// and not one scheduler event, RNG draw, metric instrument, or trace byte
+// differs from a build without this subsystem.
 //
 // Determinism: all fault randomness (drop-burst coins, garbage CSI values)
 // comes from the injector's own RNG stream, forked from the sim seed under
@@ -26,8 +26,8 @@
 #include <utility>
 #include <vector>
 
-#include "net/flight_recorder.h"
 #include "net/packet.h"
+#include "obs/context.h"
 #include "sim/fault_plan.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
@@ -37,12 +37,6 @@ namespace wgtt::metrics {
 class Counter;
 class Gauge;
 }  // namespace wgtt::metrics
-namespace wgtt::trace {
-class Tracer;
-}
-namespace wgtt::obs {
-class HealthEngine;
-}
 
 namespace wgtt::net {
 
@@ -127,9 +121,7 @@ class FaultInjector {
   std::uint64_t faults_applied_ = 0;
   std::size_t active_ = 0;
 
-  trace::Tracer* tracer_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
   metrics::Counter* m_injected_ = nullptr;
   metrics::Counter* m_cleared_ = nullptr;
   metrics::Gauge* m_active_ = nullptr;

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/context.h"
+
 namespace wgtt::phy {
 
 ErrorModel::ErrorModel(ErrorModelConfig cfg) : cfg_(cfg) {
-  if (auto* p = prof::Profiler::current()) {
-    prof_ = p;
+  if (auto* p = obs::Context::current().profiler) {
     p_mcs_ = &p->section("phy.mcs_select");
   }
 }
@@ -38,7 +39,7 @@ double ErrorModel::per(const McsInfo& m, double esnr_db,
 
 const McsInfo& ErrorModel::best_mcs_for(double esnr_db, std::size_t bytes,
                                         double target_per) const {
-  prof::ScopedSection timer(prof_, p_mcs_);
+  prof::ScopedSection timer(p_mcs_);
   const McsInfo* best = &mcs(0);
   for (const McsInfo& m : mcs_table()) {
     if (per(m, esnr_db, bytes) <= target_per) best = &m;

@@ -42,8 +42,7 @@ class ErrorModel {
  private:
   ErrorModelConfig cfg_;
   // Host-time profiling of the PER-driven MCS scan; null without a profiler
-  // context (per() itself is too cheap to time without skewing the result).
-  prof::Profiler* prof_ = nullptr;
+  // (per() itself is too cheap to time without skewing the result).
   prof::Section* p_mcs_ = nullptr;
 };
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "obs/context.h"
+
 namespace wgtt::phy {
 
 MinstrelRateControl::MinstrelRateControl(MinstrelConfig cfg) : cfg_(cfg) {
-  if (auto* p = prof::Profiler::current()) {
-    prof_ = p;
+  if (auto* p = obs::Context::current().profiler) {
     p_select_ = &p->section("phy.rate_select");
   }
 }
@@ -28,7 +29,7 @@ unsigned MinstrelRateControl::best_rate_index() const {
 }
 
 const McsInfo& MinstrelRateControl::select(Time) {
-  prof::ScopedSection timer(prof_, p_select_);
+  prof::ScopedSection timer(p_select_);
   ++selections_;
   const unsigned best = best_rate_index();
   if (cfg_.probe_period > 0 && selections_ % cfg_.probe_period == 0) {

@@ -55,7 +55,6 @@ class MinstrelRateControl final : public RateControl {
   unsigned best_rate_index() const;
 
   MinstrelConfig cfg_;
-  prof::Profiler* prof_ = nullptr;
   prof::Section* p_select_ = nullptr;
   struct RateStats {
     double ewma_prob = 1.0;  // optimistic start => rates get sampled

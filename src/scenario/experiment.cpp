@@ -74,14 +74,17 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
   // --- overlay the system under test --------------------------------------
   std::unique_ptr<WgttNetwork> wgtt;
   std::unique_ptr<BaselineNetwork> baseline;
+  NetworkOverlay* net = nullptr;
   if (cfg.system == SystemType::kWgtt) {
     wgtt = std::make_unique<WgttNetwork>(bed, cfg.wgtt);
+    net = wgtt.get();
   } else {
     BaselineNetworkConfig bcfg = cfg.baseline;
     if (cfg.system == SystemType::kStock80211r) {
       bcfg.roaming.stock_history_requirement = Time::sec(5);
     }
     baseline = std::make_unique<BaselineNetwork>(bed, bcfg);
+    net = baseline.get();
   }
 
   // --- clients -------------------------------------------------------------
@@ -103,11 +106,7 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
       case TrafficType::kTcpDownlink: {
         auto app = std::make_unique<apps::BulkTcpApp>(
             bed.sched(), ip_ids, cfg.tcp, flow, kServerId, client);
-        if (wgtt) {
-          wgtt->wire_tcp_downlink(app->connection());
-        } else {
-          baseline->wire_tcp_downlink(app->connection());
-        }
+        net->wire_tcp_downlink(app->connection());
         bed.sched().schedule_at(cfg.app_start,
                                 [a = app.get()]() { a->start(); });
         tcp_apps.push_back(std::move(app));
@@ -125,18 +124,9 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
                                                       ucfg);
         if (cfg.record_seq_trace) app->receiver().enable_trace(true);
         if (down) {
-          if (wgtt) {
-            wgtt->wire_udp_downlink(app->sender(), app->receiver(), client);
-          } else {
-            baseline->wire_udp_downlink(app->sender(), app->receiver(),
-                                        client);
-          }
+          net->wire_udp_downlink(app->sender(), app->receiver(), client);
         } else {
-          if (wgtt) {
-            wgtt->wire_udp_uplink(app->sender(), app->receiver(), client);
-          } else {
-            baseline->wire_udp_uplink(app->sender(), app->receiver(), client);
-          }
+          net->wire_udp_uplink(app->sender(), app->receiver(), client);
         }
         bed.sched().schedule_at(cfg.app_start,
                                 [a = app.get()]() { a->start(); });
@@ -232,7 +222,7 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
   // Overlay-level resource probes for the windowed rollups.  They fire only
   // during run_until below, while the overlay and apps this frame owns are
   // alive (finalize never samples gauges).
-  if (obs::HealthEngine* health = bed.health()) {
+  if (obs::HealthEngine* health = bed.obs().health) {
     if (wgtt) {
       health->add_gauge("ap.backlog_sum", [w = wgtt.get(), &bed, clients]() {
         double backlog = 0.0;
@@ -271,20 +261,20 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
   if (const TelemetrySampler* tel = bed.telemetry()) {
     result.telemetry = tel->table();
   }
-  if (const core::DecisionLog* dlog = bed.decision_log()) {
+  if (const core::DecisionLog* dlog = bed.obs().decisions) {
     result.decision_jsonl = dlog->jsonl();
     result.decision_records = dlog->entries();
     result.decision_switch_records = dlog->switches();
   }
-  if (net::FlightRecorder* fr = bed.flight_recorder()) {
+  if (const net::FlightRecorder* fr = bed.obs().recorder) {
     result.packet_jsonl = fr->jsonl();
     result.packet_records = fr->records();
   }
-  if (const obs::CausalTracer* causal = bed.causal()) {
+  if (const obs::CausalTracer* causal = bed.obs().causal) {
     result.causal_jsonl = causal->jsonl();
     result.causal_records = causal->records();
   }
-  if (obs::HealthEngine* health = bed.health()) {
+  if (obs::HealthEngine* health = bed.obs().health) {
     // Idempotent: the Testbed dtor's finalize becomes a no-op, but still
     // writes cfg.testbed.health_path with the summary included.
     health->finalize(bed.sched().now());

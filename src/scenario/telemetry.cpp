@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/context.h"
 #include "util/trace.h"
 
 namespace wgtt::scenario {
@@ -55,8 +56,7 @@ std::string TelemetryTable::to_csv() const {
 
 TelemetrySampler::TelemetrySampler(sim::Scheduler& sched, Time period)
     : sched_(sched), period_(period) {
-  if (auto* p = prof::Profiler::current()) {
-    prof_ = p;
+  if (auto* p = obs::Context::current().profiler) {
     p_sample_ = &p->section("scenario.telemetry");
   }
 }
@@ -75,7 +75,7 @@ void TelemetrySampler::start() {
 
 void TelemetrySampler::tick() {
   {
-    prof::ScopedSection timer(prof_, p_sample_);
+    prof::ScopedSection timer(p_sample_);
     table_.times.push_back(sched_.now());
     std::vector<double> row;
     row.reserve(probes_.size());

@@ -86,7 +86,6 @@ class TelemetrySampler {
   std::vector<std::function<double()>> probes_;
   TelemetryTable table_;
   bool started_ = false;
-  prof::Profiler* prof_ = nullptr;
   prof::Section* p_sample_ = nullptr;
 };
 

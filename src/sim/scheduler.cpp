@@ -3,27 +3,21 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/causal.h"
+#include "obs/context.h"
 
 namespace wgtt::sim {
 
-Scheduler::Scheduler() {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+Scheduler::Scheduler() : obs_(obs::Context::current()) {
+  if (auto* reg = obs_.metrics) {
     m_dispatched_ = &reg->counter("sim.events_dispatched");
     m_cancelled_ = &reg->counter("sim.events_cancelled");
     m_queue_depth_ = &reg->histogram(
         "sim.queue_depth", metrics::exponential_buckets(1.0, 2.0, 14));
   }
-  if (auto* p = prof::Profiler::current()) {
-    prof_ = p;
-    p_dispatch_ = &p->section("sim.dispatch");
-  }
-  if (auto* c = obs::CausalTracer::current()) {
-    causal_ = c;
-    // Annotation sites pull current_event()/now() through the tracer, so
-    // they need no scheduler reference of their own.
-    c->bind(this);
-  }
+  if (auto* p = obs_.profiler) p_dispatch_ = &p->section("sim.dispatch");
+  // Annotation sites pull current_event()/now() through the causal tracer,
+  // so they need no scheduler reference of their own.
+  if (auto* c = obs_.causal) c->bind(this);
 }
 
 EventId Scheduler::schedule_at(Time when, Callback cb) {
@@ -31,7 +25,7 @@ EventId Scheduler::schedule_at(Time when, Callback cb) {
   const std::uint64_t seq = next_seq_++;
   // Parent capture: an event scheduled while another's callback runs is
   // caused by it; current_event_ is 0 for root (setup-time) schedules.
-  if (causal_) causal_->edge(seq, current_event_, when);
+  if (obs_.causal) obs_.causal->edge(seq, current_event_, when);
   queue_.push(Event{when, seq, std::move(cb)});
   ++pending_;
   if (queue_.size() > peak_pending_) peak_pending_ = queue_.size();
@@ -101,7 +95,7 @@ void Scheduler::run_until(Time until) {
     }
     // "sim.dispatch" covers the whole callback; nested sections (channel,
     // MAC, controller, ...) carve their exclusive self-time out of it.
-    prof::ScopedSection timer(prof_, p_dispatch_);
+    prof::ScopedSection timer(p_dispatch_);
     current_event_ = ev.seq;
     ev.cb();
     current_event_ = 0;

@@ -11,13 +11,10 @@
 #include <queue>
 #include <vector>
 
+#include "obs/context.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/time.h"
-
-namespace wgtt::obs {
-class CausalTracer;
-}  // namespace wgtt::obs
 
 namespace wgtt::sim {
 
@@ -121,17 +118,13 @@ class Scheduler {
   // keeping memory proportional to the out-of-order window, not history.
   std::uint64_t popped_low_water_ = 0;
   std::vector<std::uint64_t> popped_ahead_;  // sorted, all > popped_low_water_
-  // Instrumentation, cached from the context-current registry at
-  // construction; null (every site a single branch) when metrics are off.
+  // Observers, cached at construction; null (every site a single branch)
+  // when the sink is off.
+  obs::Context obs_;
   metrics::Counter* m_dispatched_ = nullptr;
   metrics::Counter* m_cancelled_ = nullptr;
   metrics::Histogram* m_queue_depth_ = nullptr;
-  prof::Profiler* prof_ = nullptr;
   prof::Section* p_dispatch_ = nullptr;
-  // Causal event-graph observer, cached from the context-current tracer at
-  // construction (null — a single branch per schedule — when tracing is
-  // off, which the golden-trace suites pin as byte-identical).
-  obs::CausalTracer* causal_ = nullptr;
 };
 
 }  // namespace wgtt::sim

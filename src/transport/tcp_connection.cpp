@@ -17,13 +17,10 @@ TcpConnection::TcpConnection(sim::Scheduler& sched, IpIdAllocator& ip_ids,
       ssthresh_(cfg.receive_window_bytes),
       rto_(cfg.initial_rto),
       goodput_(cfg.throughput_bin) {
-  if (auto* reg = metrics::MetricsRegistry::current()) {
+  if (auto* reg = obs_.metrics) {
     m_retransmissions_ = &reg->counter("transport.tcp_retransmissions");
     m_timeouts_ = &reg->counter("transport.tcp_timeouts");
   }
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
 }
 
 void TcpConnection::app_send(std::size_t bytes) {
@@ -72,23 +69,14 @@ void TcpConnection::send_segment(std::uint64_t seq_start,
     it->second.second = true;  // Karn: never sample a retransmitted range
   }
   net::PacketPtr out = net::make_packet(std::move(p));
-  if (recorder_) {
-    recorder_->record(out->uid, sched_.now(), net::Hop::kTransportSend,
-                      sender_,
-                      {{"flow", flow_id_},
-                       {"seq", static_cast<std::int64_t>(seq_start)},
-                       {"retx", is_retransmission ? 1 : 0}});
-  }
-  if (causal_ && causal_->sampled(out->uid)) {
-    causal_->annotate("transport.send",
-                      {{"uid", static_cast<std::int64_t>(out->uid)},
-                       {"flow", flow_id_},
-                       {"retx", is_retransmission ? 1 : 0}});
-  }
-  if (transmit_data) {
-    if (health_) health_->packet_sent();
-    transmit_data(std::move(out));
-  }
+  const std::int64_t retx = is_retransmission ? 1 : 0;
+  obs_.hop(*out, sched_.now(), net::Hop::kTransportSend, sender_,
+           transmit_data ? obs::Ledger::kSent : obs::Ledger::kNone,
+           {{"flow", flow_id_},
+            {"seq", static_cast<std::int64_t>(seq_start)},
+            {"retx", retx}},
+           {{"flow", flow_id_}, {"retx", retx}});
+  if (transmit_data) transmit_data(std::move(out));
 }
 
 void TcpConnection::arm_rto() {
@@ -141,19 +129,12 @@ void TcpConnection::enter_fast_recovery() {
 void TcpConnection::on_network_ack(const net::PacketPtr& pkt) {
   // Every ack instance reaching the sender terminates here (dup-acks too) —
   // the health ledger counts it delivered regardless of how it advances cwnd.
-  if (health_) health_->packet_delivered();
   ++stats_.acks_received;
   const std::uint64_t ack = pkt->seq;
-  if (recorder_) {
-    recorder_->record(pkt->uid, sched_.now(), net::Hop::kTransportRx, sender_,
-                      {{"flow", flow_id_},
-                       {"ack", static_cast<std::int64_t>(ack)}});
-  }
-  if (causal_ && causal_->sampled(pkt->uid)) {
-    causal_->annotate("transport.rx",
-                      {{"uid", static_cast<std::int64_t>(pkt->uid)},
-                       {"flow", flow_id_}});
-  }
+  obs_.hop(*pkt, sched_.now(), net::Hop::kTransportRx, sender_,
+           obs::Ledger::kDelivered,
+           {{"flow", flow_id_}, {"ack", static_cast<std::int64_t>(ack)}},
+           {{"flow", flow_id_}});
 
   if (ack <= snd_una_) {
     if (ack == snd_una_ && flight_size() > 0) {
@@ -223,25 +204,17 @@ void TcpConnection::on_network_ack(const net::PacketPtr& pkt) {
 // ---------------------------------------------------------------------------
 
 void TcpConnection::on_network_data(const net::PacketPtr& pkt) {
-  // Stale duplicates terminate here just like fresh data: every instance
-  // reaching the receiver leaves the in-flight ledger.
-  if (health_) health_->packet_delivered();
   const std::uint64_t start = pkt->seq;
   const std::uint64_t payload = pkt->size_bytes - 52;
   const std::uint64_t end = start + payload;
-
-  if (recorder_) {
-    recorder_->record(pkt->uid, sched_.now(), net::Hop::kTransportRx,
-                      receiver_,
-                      {{"flow", flow_id_},
-                       {"seq", static_cast<std::int64_t>(start)},
-                       {"dup", end <= rcv_nxt_ ? 1 : 0}});
-  }
-  if (causal_ && causal_->sampled(pkt->uid)) {
-    causal_->annotate("transport.rx",
-                      {{"uid", static_cast<std::int64_t>(pkt->uid)},
-                       {"flow", flow_id_}});
-  }
+  // Stale duplicates terminate here just like fresh data: every instance
+  // reaching the receiver leaves the in-flight ledger.
+  obs_.hop(*pkt, sched_.now(), net::Hop::kTransportRx, receiver_,
+           obs::Ledger::kDelivered,
+           {{"flow", flow_id_},
+            {"seq", static_cast<std::int64_t>(start)},
+            {"dup", end <= rcv_nxt_ ? 1 : 0}},
+           {{"flow", flow_id_}});
   if (end <= rcv_nxt_) {
     send_ack();  // stale duplicate: re-ack
     return;
@@ -281,22 +254,11 @@ void TcpConnection::send_ack() {
   p.size_bytes = cfg_.ack_bytes;
   p.created = sched_.now();
   net::PacketPtr out = net::make_packet(std::move(p));
-  if (recorder_) {
-    recorder_->record(out->uid, sched_.now(), net::Hop::kTransportSend,
-                      receiver_,
-                      {{"flow", flow_id_},
-                       {"ack", static_cast<std::int64_t>(rcv_nxt_)}});
-  }
-  if (causal_ && causal_->sampled(out->uid)) {
-    causal_->annotate("transport.send",
-                      {{"uid", static_cast<std::int64_t>(out->uid)},
-                       {"flow", flow_id_},
-                       {"ack", 1}});
-  }
-  if (transmit_ack) {
-    if (health_) health_->packet_sent();
-    transmit_ack(std::move(out));
-  }
+  obs_.hop(*out, sched_.now(), net::Hop::kTransportSend, receiver_,
+           transmit_ack ? obs::Ledger::kSent : obs::Ledger::kNone,
+           {{"flow", flow_id_}, {"ack", static_cast<std::int64_t>(rcv_nxt_)}},
+           {{"flow", flow_id_}, {"ack", 1}});
+  if (transmit_ack) transmit_ack(std::move(out));
 }
 
 }  // namespace wgtt::transport

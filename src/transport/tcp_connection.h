@@ -15,12 +15,10 @@
 #include <functional>
 #include <map>
 
-#include "net/flight_recorder.h"
 #include "net/packet.h"
+#include "obs/context.h"
 #include "sim/scheduler.h"
 #include "transport/udp_flow.h"  // IpIdAllocator
-#include "util/causal.h"
-#include "util/health.h"
 #include "util/metrics.h"
 #include "util/stats.h"
 
@@ -128,12 +126,10 @@ class TcpConnection {
 
   TcpStats stats_;
   ThroughputSeries goodput_;
-  // Instrumentation (null when the sim has no metrics context).
+  // Instrumentation (null when the sim has no metrics sink).
+  obs::Context obs_ = obs::Context::current();
   metrics::Counter* m_retransmissions_ = nullptr;
   metrics::Counter* m_timeouts_ = nullptr;
-  net::FlightRecorder* recorder_ = nullptr;
-  obs::CausalTracer* causal_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
 };
 
 }  // namespace wgtt::transport

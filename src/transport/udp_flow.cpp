@@ -8,9 +8,6 @@ UdpSender::UdpSender(sim::Scheduler& sched, IpIdAllocator& ip_ids,
   const double pps =
       cfg_.offered_load_bps / (static_cast<double>(cfg_.datagram_bytes) * 8.0);
   interval_ = Time::sec(1.0 / pps);
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
 }
 
 void UdpSender::start() {
@@ -31,62 +28,38 @@ void UdpSender::emit() {
   p.size_bytes = cfg_.datagram_bytes + 28;  // IP + UDP headers
   p.created = sched_.now();
   net::PacketPtr out = net::make_packet(std::move(p));
-  if (recorder_) {
-    recorder_->record(out->uid, sched_.now(), net::Hop::kTransportSend,
-                      cfg_.src,
-                      {{"flow", cfg_.flow_id},
-                       {"seq", static_cast<std::int64_t>(out->seq)}});
-  }
-  if (causal_ && causal_->sampled(out->uid)) {
-    causal_->annotate("transport.send",
-                      {{"uid", static_cast<std::int64_t>(out->uid)},
-                       {"flow", cfg_.flow_id}});
-  }
-  if (transmit) {
-    if (health_) health_->packet_sent();
-    transmit(std::move(out));
-  }
+  obs_.hop(*out, sched_.now(), net::Hop::kTransportSend, cfg_.src,
+           transmit ? obs::Ledger::kSent : obs::Ledger::kNone,
+           {{"flow", cfg_.flow_id},
+            {"seq", static_cast<std::int64_t>(out->seq)}},
+           {{"flow", cfg_.flow_id}});
+  if (transmit) transmit(std::move(out));
   sched_.schedule(interval_, [this]() { emit(); });
 }
 
 UdpReceiver::UdpReceiver(sim::Scheduler& sched, Time throughput_bin)
-    : sched_(sched), series_(throughput_bin) {
-  recorder_ = net::FlightRecorder::current();
-  causal_ = obs::CausalTracer::current();
-  health_ = obs::HealthEngine::current();
-}
+    : sched_(sched), series_(throughput_bin) {}
 
 void UdpReceiver::on_packet(const net::PacketPtr& pkt) {
   const std::uint64_t seq = pkt->seq;
   if (seq >= seen_.size()) seen_.resize(seq + 1024, false);
-  if (recorder_) {
-    if (seen_[seq]) {
-      recorder_->drop(pkt->uid, sched_.now(), net::Hop::kTransportRx,
-                      pkt->dst, net::DropCause::kDuplicate,
-                      {{"flow", pkt->flow_id},
-                       {"seq", static_cast<std::int64_t>(seq)},
-                       {"dup", 1}});
-    } else {
-      recorder_->record(pkt->uid, sched_.now(), net::Hop::kTransportRx,
-                        pkt->dst,
-                        {{"flow", pkt->flow_id},
-                         {"seq", static_cast<std::int64_t>(seq)},
-                         {"dup", 0}});
-    }
-  }
   if (seen_[seq]) {
     ++duplicates_;
-    if (health_) health_->packet_dropped();
+    obs_.drop(*pkt, sched_.now(), net::Hop::kTransportRx, pkt->dst,
+              net::DropCause::kDuplicate,
+              {{"flow", pkt->flow_id},
+               {"seq", static_cast<std::int64_t>(seq)},
+               {"dup", 1}});
     return;
   }
-  if (causal_ && causal_->sampled(pkt->uid)) {
-    causal_->annotate("transport.rx",
-                      {{"uid", static_cast<std::int64_t>(pkt->uid)},
-                       {"flow", pkt->flow_id}});
-  }
+  obs_.hop(*pkt, sched_.now(), net::Hop::kTransportRx, pkt->dst,
+           obs::Ledger::kDelivered,
+           {{"flow", pkt->flow_id},
+            {"seq", static_cast<std::int64_t>(seq)},
+            {"dup", 0}},
+           {{"flow", pkt->flow_id}});
   seen_[seq] = true;
   ++received_;
-  if (health_) health_->packet_delivered();
   highest_seq_ = std::max(highest_seq_, seq + 1);
   series_.add(sched_.now(), pkt->size_bytes);
   if (trace_enabled_) trace_.emplace_back(sched_.now(), seq);

@@ -10,11 +10,9 @@
 #include <map>
 #include <vector>
 
-#include "net/flight_recorder.h"
 #include "net/packet.h"
+#include "obs/context.h"
 #include "sim/scheduler.h"
-#include "util/causal.h"
-#include "util/health.h"
 #include "util/stats.h"
 
 namespace wgtt::transport {
@@ -59,9 +57,7 @@ class UdpSender {
   Time interval_;
   bool running_ = false;
   std::uint64_t next_seq_ = 0;
-  net::FlightRecorder* recorder_ = nullptr;
-  obs::CausalTracer* causal_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
 };
 
 class UdpReceiver {
@@ -94,9 +90,7 @@ class UdpReceiver {
   std::vector<bool> seen_;
   bool trace_enabled_ = false;
   std::vector<std::pair<Time, std::uint64_t>> trace_;
-  net::FlightRecorder* recorder_ = nullptr;
-  obs::CausalTracer* causal_ = nullptr;
-  obs::HealthEngine* health_ = nullptr;
+  obs::Context obs_ = obs::Context::current();
 };
 
 }  // namespace wgtt::transport

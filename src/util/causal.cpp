@@ -5,32 +5,9 @@
 
 namespace wgtt::obs {
 
-namespace {
-
-thread_local CausalTracer* t_current_causal_tracer = nullptr;
-
-// splitmix64 finalizer — the flight recorder's sampler, bit for bit, so the
-// two streams sample the same uid population at the same (seed, sample).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-CausalTracer::CausalTracer(CausalTracerConfig cfg) : cfg_(cfg) {
-  out_.reserve(1 << 20);
-  out_ += "{\"kind\":\"schema\",\"stream\":\"wgtt.causal\",\"version\":";
-  out_ += std::to_string(kCausalSchemaVersion);
-  out_ += "}\n";
-}
-
-bool CausalTracer::sampled(std::uint64_t uid) const {
-  if (uid == 0 || cfg_.sample <= 1) return true;
-  return mix64(uid ^ cfg_.seed) % cfg_.sample == 0;
-}
+CausalTracer::CausalTracer(CausalTracerConfig cfg)
+    : cfg_(cfg),
+      out_(jsonl_document("wgtt.causal", kCausalSchemaVersion, 1 << 20)) {}
 
 std::uint64_t CausalTracer::current_event() const {
   return sched_ != nullptr ? sched_->current_event() : 0;
@@ -48,8 +25,7 @@ void CausalTracer::edge(std::uint64_t child, std::uint64_t parent, Time when) {
   ++records_;
 }
 
-void CausalTracer::annotate(const char* site,
-                            std::initializer_list<CausalArg> args) {
+void CausalTracer::begin_annotation(const char* site) {
   std::uint64_t ev = 0;
   Time t = Time::zero();
   if (sched_ != nullptr) {
@@ -63,27 +39,22 @@ void CausalTracer::annotate(const char* site,
   s += site;
   s += "\",\"t_us\":";
   s += trace::Tracer::format_ts(t);
-  for (const CausalArg& a : args) {
-    s += ",\"";
-    s += a.key;
-    s += "\":";
-    s += std::to_string(a.value);
-  }
-  s += "}\n";
+}
+
+void CausalTracer::annotate(const char* site, Fields args) {
+  begin_annotation(site);
+  append_fields(out_, args);
+  out_ += "}\n";
   ++records_;
 }
 
-CausalTracer* CausalTracer::current() { return t_current_causal_tracer; }
-
-ScopedCausalTracer::ScopedCausalTracer(CausalTracer* tracer) {
-  if (tracer == nullptr) return;
-  installed_ = tracer;
-  previous_ = t_current_causal_tracer;
-  t_current_causal_tracer = tracer;
-}
-
-ScopedCausalTracer::~ScopedCausalTracer() {
-  if (installed_ != nullptr) t_current_causal_tracer = previous_;
+void CausalTracer::annotate_packet(const char* site, std::uint64_t uid,
+                                   Fields args) {
+  begin_annotation(site);
+  append_fields(out_, {{"uid", static_cast<std::int64_t>(uid)}});
+  append_fields(out_, args);
+  out_ += "}\n";
+  ++records_;
 }
 
 }  // namespace wgtt::obs

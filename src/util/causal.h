@@ -27,13 +27,11 @@
 // Annotation sites tag events with packet uid / client / AP / switch id so
 // the DAG is joinable against the decision log and the flight recorder.
 //
-// Thread-scoped exactly like LogSink / MetricsRegistry / Tracer /
-// FlightRecorder / HealthEngine: owned by one Testbed, installed as the
-// constructing thread's context-current tracer; the Scheduler and each
-// annotation site cache `current()` once at construction.  A null pointer
-// (tracing off, the default) costs one branch per schedule — and the
-// scheduler's current-event bookkeeping is two plain stores per dispatch —
-// so disabled runs stay byte-identical, pinned by the golden-trace suites.
+// The Scheduler and the annotation sites reach the tracer through
+// obs::Context (obs/context.h).  With no tracer (the default) each schedule
+// costs one branch — and the scheduler's current-event bookkeeping is two
+// plain stores per dispatch — so disabled runs stay byte-identical, pinned
+// by the golden-stream suite.
 //
 // Uid-tagged annotations (per-packet sites) share the flight recorder's
 // seeded uid-hash sampler, so at the same (seed, sample) the two streams
@@ -42,9 +40,9 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 
+#include "util/jsonl.h"
 #include "util/time.h"
 
 namespace wgtt::sim {
@@ -52,13 +50,6 @@ class Scheduler;
 }  // namespace wgtt::sim
 
 namespace wgtt::obs {
-
-/// One integer field on an annotation (key must be a static string and must
-/// not collide with ev/site/t_us).
-struct CausalArg {
-  const char* key;
-  std::int64_t value;
-};
 
 struct CausalTracerConfig {
   std::uint64_t seed = 1;    // sampler seed (the Testbed passes its sim seed)
@@ -84,13 +75,18 @@ class CausalTracer {
 
   /// Attach a semantic annotation to the event the bound scheduler is
   /// currently dispatching (ev 0 when called outside dispatch, e.g. during
-  /// construction).  Sites gate per-packet calls on sampled(uid) themselves;
-  /// switch/control annotations are unconditional.
-  void annotate(const char* site, std::initializer_list<CausalArg> args = {});
+  /// construction).  Switch/control annotations are never sampled away.
+  void annotate(const char* site, Fields args = {});
+  /// The same for one packet: writes "uid" ahead of `args`.  Callers gate
+  /// data packets on sampled(uid).
+  void annotate_packet(const char* site, std::uint64_t uid, Fields args);
 
-  /// Seeded uid-hash sampler, identical to the flight recorder's: the same
-  /// (seed, sample) selects the same packets in both streams.
-  bool sampled(std::uint64_t uid) const;
+  /// The shared seeded uid sampler (obs::uid_sampled) at this tracer's
+  /// (seed, sample): the flight recorder at the same settings selects the
+  /// same packets.
+  bool sampled(std::uint64_t uid) const {
+    return uid_sampled(uid, cfg_.seed, cfg_.sample);
+  }
 
   /// The scheduler whose current_event()/now() annotations read.  Bound by
   /// the Scheduler itself at construction (the Testbed constructs the
@@ -106,29 +102,13 @@ class CausalTracer {
   const std::string& jsonl() const { return out_; }
   const CausalTracerConfig& config() const { return cfg_; }
 
-  /// The tracer the calling thread's current simulation records into, or
-  /// nullptr when causal tracing is off (the default).
-  static CausalTracer* current();
-
  private:
+  void begin_annotation(const char* site);
+
   CausalTracerConfig cfg_;
   const sim::Scheduler* sched_ = nullptr;
   std::string out_;
   std::size_t records_ = 0;
-};
-
-/// Install `tracer` as the calling thread's current causal tracer for this
-/// object's lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedCausalTracer {
- public:
-  explicit ScopedCausalTracer(CausalTracer* tracer);
-  ~ScopedCausalTracer();
-  ScopedCausalTracer(const ScopedCausalTracer&) = delete;
-  ScopedCausalTracer& operator=(const ScopedCausalTracer&) = delete;
-
- private:
-  CausalTracer* installed_ = nullptr;
-  CausalTracer* previous_ = nullptr;
 };
 
 }  // namespace wgtt::obs

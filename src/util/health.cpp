@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/jsonl.h"
 #include "util/trace.h"
 
 #ifdef __linux__
@@ -12,8 +13,6 @@
 namespace wgtt::obs {
 
 namespace {
-
-thread_local HealthEngine* t_current_health = nullptr;
 
 /// Fixed-point rendering with exactly 3 decimals, computed with integer
 /// arithmetic (llround of the scaled value) — deterministic across
@@ -55,14 +54,15 @@ std::int64_t read_rss_kb() {
 
 }  // namespace
 
-HealthEngine::HealthEngine(HealthConfig cfg)
-    : cfg_(cfg), metrics_(metrics::MetricsRegistry::current()) {
+HealthEngine::HealthEngine(HealthConfig cfg,
+                           const metrics::MetricsRegistry* metrics)
+    : cfg_(cfg),
+      out_(jsonl_document("wgtt.health",
+                          cfg.fault_aware ? kHealthSchemaVersionFaultAware
+                                          : kHealthSchemaVersion,
+                          1 << 14)),
+      metrics_(metrics) {
   if (cfg_.ring_capacity == 0) cfg_.ring_capacity = 1;
-  out_.reserve(1 << 14);
-  out_ += "{\"kind\":\"schema\",\"stream\":\"wgtt.health\",\"version\":";
-  out_ += std::to_string(cfg_.fault_aware ? kHealthSchemaVersionFaultAware
-                                          : kHealthSchemaVersion);
-  out_ += "}\n";
 }
 
 void HealthEngine::client_stranded(std::uint32_t client, bool stranded,
@@ -100,8 +100,6 @@ void HealthEngine::fault_mark(Time t, const char* kind, std::uint32_t node,
   out_ += "}\n";
   if (!active) last_fault_clear_ = t;
 }
-
-HealthEngine* HealthEngine::current() { return t_current_health; }
 
 void HealthEngine::add_gauge(std::string name, std::function<double()> probe,
                              double ceiling) {
@@ -302,17 +300,6 @@ std::vector<HealthWindow> HealthEngine::windows() const {
     out.push_back(ring_[(start + i) % cfg_.ring_capacity]);
   }
   return out;
-}
-
-ScopedHealthEngine::ScopedHealthEngine(HealthEngine* engine) {
-  if (engine == nullptr) return;
-  installed_ = engine;
-  previous_ = t_current_health;
-  t_current_health = engine;
-}
-
-ScopedHealthEngine::~ScopedHealthEngine() {
-  if (installed_ != nullptr) t_current_health = previous_;
 }
 
 }  // namespace wgtt::obs

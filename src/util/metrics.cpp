@@ -195,26 +195,4 @@ std::string Snapshot::to_json() const {
   return w.str();
 }
 
-// ---------------------------------------------------------------------------
-// Thread context
-// ---------------------------------------------------------------------------
-
-namespace {
-thread_local MetricsRegistry* t_current_registry = nullptr;
-}  // namespace
-
-MetricsRegistry* MetricsRegistry::current() { return t_current_registry; }
-
-ScopedMetricsRegistry::ScopedMetricsRegistry(MetricsRegistry* registry)
-    : installed_(registry) {
-  if (installed_ != nullptr) {
-    previous_ = t_current_registry;
-    t_current_registry = installed_;
-  }
-}
-
-ScopedMetricsRegistry::~ScopedMetricsRegistry() {
-  if (installed_ != nullptr) t_current_registry = previous_;
-}
-
 }  // namespace wgtt::metrics

@@ -1,14 +1,11 @@
 // Per-simulation metrics: counters, gauges, and fixed-bucket histograms.
 //
-// A MetricsRegistry is owned by the Testbed of one simulation (alongside its
-// LogSink) and installed as the *context-current* registry of the
-// constructing thread for the Testbed's lifetime, so concurrent simulations
-// on different threads each record into their own registry with no shared
-// mutable state.  Components grab `MetricsRegistry::current()` once at
-// construction and cache typed pointers to the instruments they update; with
-// no registry installed the cached pointers are null and every record site
-// reduces to a single inlineable branch — instrumentation is free when off
-// and never perturbs simulation behaviour when on (instruments only observe).
+// A MetricsRegistry is owned by the Testbed of one simulation and reached
+// through its obs::Context (obs/context.h).  Components cache typed pointers
+// to the instruments they update at construction; with no registry the
+// cached pointers are null and every record site reduces to a single
+// inlineable branch — instrumentation is free when off and never perturbs
+// simulation behaviour when on (instruments only observe).
 //
 // Iteration order over instruments is the lexicographic name order, so
 // snapshots and their JSON serialization are deterministic.
@@ -149,30 +146,10 @@ class MetricsRegistry {
 
   Snapshot snapshot() const;
 
-  /// The registry the calling thread's current simulation records into, or
-  /// nullptr when instrumentation is off (the default outside a Testbed).
-  static MetricsRegistry* current();
-
  private:
-  friend class ScopedMetricsRegistry;
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-};
-
-/// Install `registry` as the calling thread's current registry for this
-/// object's lifetime (RAII; nests).  Passing nullptr is a no-op, keeping
-/// whatever registry (if any) is already current.
-class ScopedMetricsRegistry {
- public:
-  explicit ScopedMetricsRegistry(MetricsRegistry* registry);
-  ~ScopedMetricsRegistry();
-  ScopedMetricsRegistry(const ScopedMetricsRegistry&) = delete;
-  ScopedMetricsRegistry& operator=(const ScopedMetricsRegistry&) = delete;
-
- private:
-  MetricsRegistry* installed_ = nullptr;
-  MetricsRegistry* previous_ = nullptr;
 };
 
 }  // namespace wgtt::metrics

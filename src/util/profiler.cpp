@@ -6,10 +6,6 @@
 
 namespace wgtt::prof {
 
-namespace {
-thread_local Profiler* t_current_profiler = nullptr;
-}  // namespace
-
 std::int64_t ProfileSnapshot::total_ns() const {
   std::int64_t total = 0;
   for (const Entry& e : sections) total += e.self_ns;
@@ -41,7 +37,7 @@ std::string ProfileSnapshot::to_json() const {
 Section& Profiler::section(std::string_view name) {
   auto it = sections_.find(name);
   if (it == sections_.end()) {
-    it = sections_.emplace(std::string(name), Section{}).first;
+    it = sections_.emplace(std::string(name), Section{0, 0, this}).first;
   }
   return it->second;
 }
@@ -57,8 +53,6 @@ ProfileSnapshot Profiler::snapshot() const {
   }
   return snap;
 }
-
-Profiler* Profiler::current() { return t_current_profiler; }
 
 std::int64_t Profiler::now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -81,17 +75,6 @@ void Profiler::leave() {
     stack_.pop_back();
   }
   last_mark_ns_ = now;
-}
-
-ScopedProfiler::ScopedProfiler(Profiler* profiler) {
-  if (profiler == nullptr) return;
-  installed_ = profiler;
-  previous_ = t_current_profiler;
-  t_current_profiler = profiler;
-}
-
-ScopedProfiler::~ScopedProfiler() {
-  if (installed_ != nullptr) t_current_profiler = previous_;
 }
 
 }  // namespace wgtt::prof

@@ -8,12 +8,10 @@
 //
 // Attribution is exclusive (self-time): when sections nest, elapsed time is
 // charged to the innermost open section only, so the per-section totals of a
-// run always sum to no more than the run's wall time.  Like LogSink /
-// MetricsRegistry / Tracer, a Profiler is owned by one Testbed, installed as
-// the constructing thread's context-current profiler for the Testbed's
-// lifetime, and components cache `Profiler::current()` plus typed Section
-// pointers at construction — a null pointer (profiling off) makes every
-// timed site a single branch.
+// run always sum to no more than the run's wall time.  A Profiler is owned
+// by one Testbed and reached through its obs::Context; components cache
+// typed Section pointers at construction — a null pointer (profiling off)
+// makes every timed site a single branch.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +26,14 @@ class JsonWriter;
 
 namespace wgtt::prof {
 
+class Profiler;
+
 /// One named section's accumulated self-time.  References returned by
 /// Profiler::section() stay valid for the profiler's lifetime.
 struct Section {
   std::uint64_t calls = 0;
   std::int64_t self_ns = 0;
+  Profiler* profiler = nullptr;  // the owner that times it
 };
 
 /// Registry-independent copy of every section — what lands in RunReport's
@@ -65,16 +66,11 @@ class Profiler {
 
   ProfileSnapshot snapshot() const;
 
-  /// The profiler the calling thread's current simulation times into, or
-  /// nullptr when profiling is off (the default outside a Testbed).
-  static Profiler* current();
-
   /// Monotonic host clock in nanoseconds.
   static std::int64_t now_ns();
 
  private:
   friend class ScopedSection;
-  friend class ScopedProfiler;
 
   // Exclusive attribution: elapsed host time is always charged to the top of
   // the open-section stack; entering or leaving a section settles the time
@@ -87,11 +83,13 @@ class Profiler {
   std::int64_t last_mark_ns_ = 0;
 };
 
-/// RAII timed scope.  A null profiler makes construction and destruction a
-/// single branch each; scopes are strictly LIFO (C++ scoping guarantees it).
+/// RAII timed scope over a section of some profiler.  A null section
+/// (profiling off) makes construction and destruction a single branch each;
+/// scopes are strictly LIFO (C++ scoping guarantees it).
 class ScopedSection {
  public:
-  ScopedSection(Profiler* profiler, Section* section) : profiler_(profiler) {
+  explicit ScopedSection(Section* section)
+      : profiler_(section != nullptr ? section->profiler : nullptr) {
     if (profiler_ != nullptr) profiler_->enter(*section);
   }
   ~ScopedSection() {
@@ -102,20 +100,6 @@ class ScopedSection {
 
  private:
   Profiler* profiler_;
-};
-
-/// Install `profiler` as the calling thread's current profiler for this
-/// object's lifetime (RAII; nests).  Passing nullptr keeps the current one.
-class ScopedProfiler {
- public:
-  explicit ScopedProfiler(Profiler* profiler);
-  ~ScopedProfiler();
-  ScopedProfiler(const ScopedProfiler&) = delete;
-  ScopedProfiler& operator=(const ScopedProfiler&) = delete;
-
- private:
-  Profiler* installed_ = nullptr;
-  Profiler* previous_ = nullptr;
 };
 
 }  // namespace wgtt::prof

@@ -96,25 +96,4 @@ const std::string& Tracer::finish() {
   return w_.str();
 }
 
-// ---------------------------------------------------------------------------
-// Thread context
-// ---------------------------------------------------------------------------
-
-namespace {
-thread_local Tracer* t_current_tracer = nullptr;
-}  // namespace
-
-Tracer* Tracer::current() { return t_current_tracer; }
-
-ScopedTracer::ScopedTracer(Tracer* tracer) : installed_(tracer) {
-  if (installed_ != nullptr) {
-    previous_ = t_current_tracer;
-    t_current_tracer = installed_;
-  }
-}
-
-ScopedTracer::~ScopedTracer() {
-  if (installed_ != nullptr) t_current_tracer = previous_;
-}
-
 }  // namespace wgtt::trace

@@ -8,10 +8,9 @@
 // is bitwise-reproducible across runs, thread counts, and libcs — the
 // property the golden-trace regression suite pins with a SHA-256 hash.
 //
-// Like the MetricsRegistry, a Tracer is owned by a Testbed and installed as
-// the constructing thread's context-current tracer for the Testbed's
-// lifetime.  Components cache `Tracer::current()` at construction; a null
-// pointer (tracing off, the default) makes every record site a single branch.
+// Like the MetricsRegistry, a Tracer is owned by a Testbed and reached
+// through its obs::Context; a null pointer (tracing off, the default) makes
+// every record site a single branch.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +65,6 @@ class Tracer {
   /// decimals, derived purely from integer arithmetic.
   static std::string format_ts(Time t);
 
-  static Tracer* current();
-
  private:
   void begin_event(char ph, std::string_view cat, std::string_view name,
                    Time ts, std::int64_t tid);
@@ -76,20 +73,6 @@ class Tracer {
   JsonWriter w_;
   std::size_t events_ = 0;
   bool finished_ = false;
-};
-
-/// Install `tracer` as the calling thread's current tracer for this object's
-/// lifetime (RAII; nests).  Passing nullptr keeps the current tracer.
-class ScopedTracer {
- public:
-  explicit ScopedTracer(Tracer* tracer);
-  ~ScopedTracer();
-  ScopedTracer(const ScopedTracer&) = delete;
-  ScopedTracer& operator=(const ScopedTracer&) = delete;
-
- private:
-  Tracer* installed_ = nullptr;
-  Tracer* previous_ = nullptr;
 };
 
 }  // namespace wgtt::trace

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/context.h"
 #include "scenario/experiment.h"
 #include "util/health.h"
 #include "util/metrics.h"
@@ -155,20 +156,21 @@ TEST(HealthEngineTest, FinalizeIsIdempotentAndNeverSamplesGauges) {
 }
 
 TEST(HealthEngineTest, ScopedInstallNestsAndNullKeepsCurrent) {
-  obs::HealthEngine* before = obs::HealthEngine::current();
+  obs::HealthEngine* before = obs::Context::current().health;
   obs::HealthEngine a(unit_config()), b(unit_config());
+  const obs::Context ca{.health = &a}, cb{.health = &b};
   {
-    obs::ScopedHealthEngine sa(&a);
-    EXPECT_EQ(obs::HealthEngine::current(), &a);
+    obs::ScopedContext sa(&ca);
+    EXPECT_EQ(obs::Context::current().health, &a);
     {
-      obs::ScopedHealthEngine keep(nullptr);
-      EXPECT_EQ(obs::HealthEngine::current(), &a);
-      obs::ScopedHealthEngine sb(&b);
-      EXPECT_EQ(obs::HealthEngine::current(), &b);
+      obs::ScopedContext keep(nullptr);
+      EXPECT_EQ(obs::Context::current().health, &a);
+      obs::ScopedContext sb(&cb);
+      EXPECT_EQ(obs::Context::current().health, &b);
     }
-    EXPECT_EQ(obs::HealthEngine::current(), &a);
+    EXPECT_EQ(obs::Context::current().health, &a);
   }
-  EXPECT_EQ(obs::HealthEngine::current(), before);
+  EXPECT_EQ(obs::Context::current().health, before);
 }
 
 // ---------------------------------------------------------------------------

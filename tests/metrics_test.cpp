@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/context.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -289,30 +290,32 @@ TEST(MetricsRegistryTest, SnapshotJsonShape) {
 }
 
 TEST(MetricsRegistryTest, ScopedContextInstallsAndNests) {
-  EXPECT_EQ(MetricsRegistry::current(), nullptr);
+  EXPECT_EQ(obs::Context::current().metrics, nullptr);
   MetricsRegistry outer, inner;
+  const obs::Context a{.metrics = &outer}, b{.metrics = &inner};
   {
-    ScopedMetricsRegistry a(&outer);
-    EXPECT_EQ(MetricsRegistry::current(), &outer);
+    obs::ScopedContext sa(&a);
+    EXPECT_EQ(obs::Context::current().metrics, &outer);
     {
-      ScopedMetricsRegistry b(&inner);
-      EXPECT_EQ(MetricsRegistry::current(), &inner);
+      obs::ScopedContext sb(&b);
+      EXPECT_EQ(obs::Context::current().metrics, &inner);
       // Null installer is a no-op, not an uninstall.
-      ScopedMetricsRegistry c(nullptr);
-      EXPECT_EQ(MetricsRegistry::current(), &inner);
+      obs::ScopedContext sc(nullptr);
+      EXPECT_EQ(obs::Context::current().metrics, &inner);
     }
-    EXPECT_EQ(MetricsRegistry::current(), &outer);
+    EXPECT_EQ(obs::Context::current().metrics, &outer);
   }
-  EXPECT_EQ(MetricsRegistry::current(), nullptr);
+  EXPECT_EQ(obs::Context::current().metrics, nullptr);
 }
 
 TEST(MetricsRegistryTest, ContextIsPerThread) {
   MetricsRegistry reg;
-  ScopedMetricsRegistry scope(&reg);
+  const obs::Context ctx{.metrics = &reg};
+  obs::ScopedContext scope(&ctx);
   MetricsRegistry* seen = &reg;
-  std::thread([&seen]() { seen = MetricsRegistry::current(); }).join();
+  std::thread([&seen]() { seen = obs::Context::current().metrics; }).join();
   EXPECT_EQ(seen, nullptr);  // other threads see no registry
-  EXPECT_EQ(MetricsRegistry::current(), &reg);
+  EXPECT_EQ(obs::Context::current().metrics, &reg);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "obs/context.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/profiler.h"
@@ -421,8 +422,8 @@ TEST(ProfilerTest, SectionsAccumulateCallsAndSelfTime) {
   prof::Section& inner = p.section("inner");
   EXPECT_EQ(&p.section("outer"), &outer);  // find-or-create is stable
   for (int i = 0; i < 3; ++i) {
-    prof::ScopedSection a(&p, &outer);
-    prof::ScopedSection b(&p, &inner);
+    prof::ScopedSection a(&outer);
+    prof::ScopedSection b(&inner);
   }
   const prof::ProfileSnapshot snap = p.snapshot();
   ASSERT_EQ(snap.sections.size(), 2u);
@@ -447,8 +448,8 @@ TEST(ProfilerTest, NestedSelfTimeIsExclusive) {
   prof::Section& inner = p.section("inner");
   const std::int64_t start = prof::Profiler::now_ns();
   {
-    prof::ScopedSection a(&p, &outer);
-    prof::ScopedSection b(&p, &inner);
+    prof::ScopedSection a(&outer);
+    prof::ScopedSection b(&inner);
     // Busy-wait so inner accumulates measurable time.
     while (prof::Profiler::now_ns() - start < 2'000'000) {
     }
@@ -460,32 +461,35 @@ TEST(ProfilerTest, NestedSelfTimeIsExclusive) {
 }
 
 TEST(ProfilerTest, NullProfilerScopedSectionIsNoOp) {
+  // An unowned section (no profiler) and a null section both time nothing.
   prof::Section s;
-  prof::ScopedSection timer(nullptr, &s);
+  { prof::ScopedSection timer(&s); }
+  { prof::ScopedSection timer(nullptr); }
   EXPECT_EQ(s.calls, 0u);
 }
 
 TEST(ProfilerTest, ScopedContextInstallsAndNests) {
-  EXPECT_EQ(prof::Profiler::current(), nullptr);
+  EXPECT_EQ(obs::Context::current().profiler, nullptr);
   prof::Profiler outer, inner;
+  const obs::Context a{.profiler = &outer}, b{.profiler = &inner};
   {
-    prof::ScopedProfiler a(&outer);
-    EXPECT_EQ(prof::Profiler::current(), &outer);
+    obs::ScopedContext sa(&a);
+    EXPECT_EQ(obs::Context::current().profiler, &outer);
     {
-      prof::ScopedProfiler b(&inner);
-      EXPECT_EQ(prof::Profiler::current(), &inner);
-      prof::ScopedProfiler c(nullptr);  // no-op, not an uninstall
-      EXPECT_EQ(prof::Profiler::current(), &inner);
+      obs::ScopedContext sb(&b);
+      EXPECT_EQ(obs::Context::current().profiler, &inner);
+      obs::ScopedContext sc(nullptr);  // no-op, not an uninstall
+      EXPECT_EQ(obs::Context::current().profiler, &inner);
     }
-    EXPECT_EQ(prof::Profiler::current(), &outer);
+    EXPECT_EQ(obs::Context::current().profiler, &outer);
   }
-  EXPECT_EQ(prof::Profiler::current(), nullptr);
+  EXPECT_EQ(obs::Context::current().profiler, nullptr);
 }
 
 TEST(ProfilerTest, SnapshotJsonShapeParses) {
   prof::Profiler p;
   {
-    prof::ScopedSection t(&p, &p.section("sim.dispatch"));
+    prof::ScopedSection t(&p.section("sim.dispatch"));
   }
   const std::string json = p.snapshot().to_json();
   JsonValue v;
