@@ -86,6 +86,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/flight_recorder.h"
 #include "sim/fault_plan.h"
 #include "util/json.h"
 
@@ -422,11 +423,9 @@ struct FaultWindow {
 };
 
 const char* fault_kind_name(std::int64_t kind) {
-  using wgtt::sim::FaultKind;
-  if (kind < 0 || kind > static_cast<std::int64_t>(FaultKind::kCsiGarbage)) {
-    return "?";
-  }
-  return wgtt::sim::to_string(static_cast<FaultKind>(kind));
+  const auto count = static_cast<std::int64_t>(wgtt::sim::kFaultKindCount);
+  if (kind < 0 || kind >= count) return "?";
+  return wgtt::sim::to_string(static_cast<wgtt::sim::FaultKind>(kind));
 }
 
 std::int64_t extra_or(const FlightRec& r, const char* key,
@@ -524,6 +523,20 @@ int cmd_packets(const std::string& path, std::size_t waterfall_limit,
   std::printf("\nautopsy: %zu drop record(s), %zu duplicate record(s)\n",
               drops, dups);
   if (drops + dups > 0) {
+    // Tally per cause, in the DropCause vocabulary's order.
+    std::map<std::string, std::size_t> by_cause;
+    for (const FlightRec& r : recs) {
+      if (r.uid != 0 && !r.cause.empty()) ++by_cause[r.cause];
+    }
+    std::printf("%-16s %8s\n", "cause", "records");
+    for (std::size_t i = 0; i < wgtt::net::kDropCauseCount; ++i) {
+      const char* cause =
+          wgtt::net::to_string(static_cast<wgtt::net::DropCause>(i));
+      if (auto it = by_cause.find(cause); it != by_cause.end()) {
+        std::printf("%-16s %8zu\n", cause, it->second);
+      }
+    }
+    std::printf("\n");
     constexpr std::size_t kMaxAutopsyRows = 200;
     std::printf("%-10s %12s %-10s %-16s %5s  %s\n", "uid", "t_us", "layer",
                 "hop", "node", "cause");

@@ -169,6 +169,52 @@ TEST(PacketRecordTest, DedupSuppressionsMatchControllerCountOnUplink) {
       << "flight recorder and controller disagree on suppressed duplicates";
 }
 
+TEST(PacketRecordTest, DropRecordsMatchTheHealthLedger) {
+  // Every site that takes a packet out of the pipeline both counts it in the
+  // health ledger and writes a drop record, so at full sampling the two
+  // agree exactly.  These drives exercise the client uplink queue, the
+  // baseline distribution's unassociated clients, and the baseline AP's
+  // kernel-queue tail drop and reassociation flush.
+  struct Drive {
+    const char* name;
+    scenario::SystemType system;
+    scenario::TrafficType traffic;
+  };
+  const Drive drives[] = {
+      {"wgtt_udp_uplink", scenario::SystemType::kWgtt,
+       scenario::TrafficType::kUdpUplink},
+      {"80211r_udp_downlink", scenario::SystemType::kEnhanced80211r,
+       scenario::TrafficType::kUdpDownlink},
+      {"80211r_udp_uplink", scenario::SystemType::kEnhanced80211r,
+       scenario::TrafficType::kUdpUplink},
+  };
+  for (const Drive& d : drives) {
+    SCOPED_TRACE(d.name);
+    scenario::DriveScenarioConfig cfg;
+    cfg.system = d.system;
+    cfg.traffic = d.traffic;
+    cfg.speed_mph = 25.0;
+    cfg.seed = 42;
+    cfg.testbed.enable_profiler = false;
+    cfg.testbed.enable_packet_log = true;
+    cfg.testbed.packet_sample = 1;
+    cfg.testbed.enable_health = true;
+    const scenario::DriveResult r = scenario::run_drive(cfg);
+    std::uint64_t drop_records = 0;
+    for (const JsonValue& rec : parse_jsonl(r.packet_jsonl)) {
+      if (!rec.string_or("cause", "").empty()) ++drop_records;
+    }
+    double ledger_dropped = -1.0;
+    for (const JsonValue& rec : parse_jsonl(r.health_jsonl)) {
+      if (rec.string_or("kind", "") == "summary") {
+        ledger_dropped = rec.number_or("dropped", -1.0);
+      }
+    }
+    EXPECT_GT(drop_records, 0u);
+    EXPECT_EQ(static_cast<double>(drop_records), ledger_dropped);
+  }
+}
+
 TEST(PacketRecordTest, SamplingThinsRecordsDeterministically) {
   scenario::DriveScenarioConfig cfg = recorded_config();
   cfg.testbed.packet_sample = 8;
