@@ -74,9 +74,13 @@ TEST_P(SchemaHeaderTest, StreamOpensWithValidSchemaHeader) {
   std::string err;
   ASSERT_TRUE(json_parse(first, header, &err))
       << GetParam().stream << " header is not valid JSON: " << err;
-  EXPECT_EQ(header.string_or("kind", ""), "schema");
-  EXPECT_EQ(header.string_or("stream", ""), GetParam().stream);
-  EXPECT_GE(header.number_or("version", 0.0), 1.0);
+  EXPECT_EQ(header.string_or("kind", ""), "schema")
+      << GetParam().stream
+      << " does not open with a {\"kind\":\"schema\"} header record";
+  EXPECT_EQ(header.string_or("stream", ""), GetParam().stream)
+      << "header names the wrong stream";
+  EXPECT_GE(header.number_or("version", 0.0), 1.0)
+      << "header carries no version";
 }
 
 TEST_P(SchemaHeaderTest, ReportReadsStreamAndRejectsUnknownVersion) {
