@@ -1,5 +1,7 @@
 #include "util/jsonl.h"
 
+#include "util/json.h"
+
 namespace wgtt::obs {
 
 namespace {
@@ -38,6 +40,47 @@ void append_fields(std::string& out, Fields fields) {
 bool uid_sampled(std::uint64_t uid, std::uint64_t seed, std::uint32_t sample) {
   if (uid == 0 || sample <= 1) return true;
   return mix64(uid ^ seed) % sample == 0;
+}
+
+bool read_jsonl(std::string_view document,
+                const std::function<bool(const JsonValue&)>& on_record,
+                std::string* error) {
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < document.size();) {
+    std::size_t eol = document.find('\n', pos);
+    if (eol == std::string_view::npos) eol = document.size();
+    const std::string_view line = document.substr(pos, eol - pos);
+    pos = eol + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    JsonValue v;
+    std::string reason;
+    if (!json_parse(line, v, &reason) || !v.is_object()) {
+      if (error) {
+        *error = "line " + std::to_string(line_no) + ": " +
+                 (reason.empty() ? "not a JSON object" : reason);
+      }
+      return false;
+    }
+    if (!on_record(v)) return false;
+  }
+  return true;
+}
+
+std::string schema_mismatch(const JsonValue& header, std::string_view stream,
+                            int max_version) {
+  const std::string got = header.string_or("stream", "");
+  const int version = static_cast<int>(header.number_or("version", 0.0));
+  const std::string want(stream);
+  if (got != want) {
+    return "schema stream \"" + got + "\" (expected \"" + want + "\")";
+  }
+  if (version < 1 || version > max_version) {
+    return "schema version " + std::to_string(version) +
+           " unsupported (this tool understands \"" + want +
+           "\" up to version " + std::to_string(max_version) + ")";
+  }
+  return {};
 }
 
 }  // namespace wgtt::obs

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/decision_log.h"
@@ -24,6 +23,7 @@
 #include "sim/fault_plan.h"
 #include "sim/scheduler.h"
 #include "util/json.h"
+#include "util/jsonl.h"
 #include "util/rng.h"
 
 namespace wgtt {
@@ -244,18 +244,15 @@ scenario::DriveScenarioConfig chaos_config() {
 
 std::vector<JsonValue> parse_jsonl(const std::string& jsonl) {
   std::vector<JsonValue> out;
-  std::size_t pos = 0;
-  while (pos < jsonl.size()) {
-    std::size_t eol = jsonl.find('\n', pos);
-    if (eol == std::string::npos) eol = jsonl.size();
-    const std::string_view line(jsonl.data() + pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    JsonValue v;
-    std::string error;
-    EXPECT_TRUE(json_parse(line, v, &error)) << error << "\n" << line;
-    out.push_back(std::move(v));
-  }
+  std::string error;
+  EXPECT_TRUE(obs::read_jsonl(
+      jsonl,
+      [&](const JsonValue& v) {
+        out.push_back(v);
+        return true;
+      },
+      &error))
+      << error;
   return out;
 }
 

@@ -11,12 +11,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "scenario/experiment.h"
 #include "scenario/sweep.h"
 #include "util/json.h"
+#include "util/jsonl.h"
 
 namespace wgtt {
 namespace {
@@ -36,18 +36,15 @@ scenario::DriveScenarioConfig recorded_config() {
 
 std::vector<JsonValue> parse_jsonl(const std::string& jsonl) {
   std::vector<JsonValue> out;
-  std::size_t pos = 0;
-  while (pos < jsonl.size()) {
-    std::size_t eol = jsonl.find('\n', pos);
-    if (eol == std::string::npos) eol = jsonl.size();
-    const std::string_view line(jsonl.data() + pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    JsonValue v;
-    std::string error;
-    EXPECT_TRUE(json_parse(line, v, &error)) << error << "\n" << line;
-    out.push_back(std::move(v));
-  }
+  std::string error;
+  EXPECT_TRUE(obs::read_jsonl(
+      jsonl,
+      [&](const JsonValue& v) {
+        out.push_back(v);
+        return true;
+      },
+      &error))
+      << error;
   return out;
 }
 
