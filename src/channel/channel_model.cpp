@@ -256,30 +256,9 @@ double ChannelModel::downlink_selection_esnr_db(net::NodeId ap_id,
   return esnr;
 }
 
-void ChannelModel::set_candidate_radius(double meters) {
-  candidate_radius_m_ = meters > 0.0
-                            ? meters
-                            : std::numeric_limits<double>::infinity();
-}
-
-void ChannelModel::candidate_aps(net::NodeId client, Time t,
+void ChannelModel::candidate_aps(net::NodeId /*client*/, Time /*t*/,
                                  std::vector<net::NodeId>& out) const {
-  out.clear();
-  if (!std::isfinite(candidate_radius_m_)) {
-    out.assign(ap_order_.begin(), ap_order_.end());
-    return;
-  }
-  auto cit = clients_.find(client);
-  assert(cit != clients_.end());
-  const Vec3 pos = cit->second.mobility->position(t);
-  for (net::NodeId id : ap_order_) {
-    if (distance(ap(id).position, pos) <= candidate_radius_m_) {
-      out.push_back(id);
-    }
-  }
-  // Never return an empty candidate set: a client parked beyond every AP's
-  // radius still needs a (bad) selection rather than none at all.
-  if (out.empty()) out.assign(ap_order_.begin(), ap_order_.end());
+  out.assign(ap_order_.begin(), ap_order_.end());
 }
 
 net::NodeId ChannelModel::best_ap(net::NodeId client, Time t) const {

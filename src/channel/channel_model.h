@@ -10,7 +10,6 @@
 
 #include <array>
 #include <complex>
-#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -95,17 +94,8 @@ class ChannelModel {
   double downlink_selection_esnr_db(net::NodeId ap, net::NodeId client,
                                     Time t) const;
 
-  /// Candidate-AP pruning for scale scenarios: when a finite radius is set,
-  /// exhaustive AP scans (best_ap, metrics sampling, background scans) only
-  /// evaluate APs within `meters` of the client's position.  The default
-  /// (infinity) evaluates every AP, byte-identical to the pre-pruning code;
-  /// paper-scale testbeds keep the default, city-scale sweeps prune.
-  void set_candidate_radius(double meters);
-  double candidate_radius_m() const { return candidate_radius_m_; }
-
-  /// APs to evaluate for `client` at `t`, in deployment order: all APs when
-  /// the radius is unlimited, otherwise those within the radius (falling
-  /// back to all APs if none qualify, so selection never goes empty).
+  /// APs an exhaustive scan (best_ap, metrics sampling, background scans)
+  /// evaluates for `client` at `t`: every AP, in deployment order.
   void candidate_aps(net::NodeId client, Time t,
                      std::vector<net::NodeId>& out) const;
 
@@ -160,7 +150,6 @@ class ChannelModel {
   std::vector<net::NodeId> ap_order_;
   std::map<net::NodeId, ClientInfo> clients_;
   mutable std::map<std::pair<net::NodeId, net::NodeId>, Link> links_;
-  double candidate_radius_m_ = std::numeric_limits<double>::infinity();
   // Host-time profiling of the per-subcarrier CSI synthesis (the channel's
   // hot path); null when the sim has no profiler.
   prof::Section* p_csi_ = nullptr;

@@ -41,9 +41,8 @@ void DriveMetrics::sample() {
     TimelinePoint pt;
     pt.t = now;
     pt.active = active_lookup_ ? active_lookup_(client) : 0;
-    // Ground truth: best instantaneous downlink ESNR across candidate APs
-    // (all of them at the default unlimited radius).  The ESNR-only fast
-    // path skips the RSSI synthesis this sampler never reads.
+    // Ground truth: best instantaneous downlink ESNR across all APs.  The
+    // ESNR-only fast path skips the RSSI synthesis this sampler never reads.
     double best = -1e9;
     bed_.channel().candidate_aps(client, now, candidate_scratch_);
     for (net::NodeId ap : candidate_scratch_) {

@@ -92,7 +92,8 @@ TEST_P(SchemaHeaderTest, ReportReadsStreamAndRejectsUnknownVersion) {
   const std::string good = temp_path("good");
   ASSERT_TRUE(write_text_file(good, jsonl));
   EXPECT_NE(run_report(good), 2)
-      << GetParam().subcommand << " rejected its own emitter's header";
+      << GetParam().subcommand
+      << " exited 2 (schema error) on the schema header its own emitter wrote";
 
   // Bump the header's version far past anything this tool understands: the
   // reader must refuse with the schema exit code rather than guess.
