@@ -6,10 +6,6 @@
 #include "util/jsonl.h"
 #include "util/trace.h"
 
-#ifdef __linux__
-#include <unistd.h>
-#endif
-
 namespace wgtt::obs {
 
 namespace {
@@ -34,22 +30,6 @@ void append_escaped(std::string& out, const std::string& s) {
     if (c == '"' || c == '\\') out.push_back('\\');
     out.push_back(c);
   }
-}
-
-/// Resident set size in KiB from /proc/self/statm, or -1 off Linux.
-std::int64_t read_rss_kb() {
-#ifdef __linux__
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return -1;
-  long long vm_pages = 0, rss_pages = 0;
-  const int n = std::fscanf(f, "%lld %lld", &vm_pages, &rss_pages);
-  std::fclose(f);
-  if (n != 2) return -1;
-  const long page = sysconf(_SC_PAGESIZE);
-  return static_cast<std::int64_t>(rss_pages) * page / 1024;
-#else
-  return -1;
-#endif
 }
 
 }  // namespace
@@ -129,12 +109,7 @@ void HealthEngine::append_window_line(const HealthWindow& w) {
     out_ += "\":";
     out_ += format_fixed3(w.gauges[i]);
   }
-  out_ += "}";
-  if (w.rss_kb >= 0) {
-    out_ += ",\"rss_kb\":";
-    out_ += std::to_string(w.rss_kb);
-  }
-  out_ += "}\n";
+  out_ += "}}\n";
 }
 
 void HealthEngine::violate(std::string watchdog, std::string severity, Time t,
@@ -228,7 +203,6 @@ void HealthEngine::on_window_close(Time t) {
   w.in_flight = in_flight();
   w.gauges.reserve(gauges_.size());
   for (const GaugeSlot& g : gauges_) w.gauges.push_back(g.probe());
-  if (cfg_.sample_host_rss) w.rss_kb = read_rss_kb();
 
   append_window_line(w);
   run_watchdogs(w);

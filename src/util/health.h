@@ -14,8 +14,7 @@
 // The per-window rollups stream into a `health.jsonl` document (one JSON
 // object per line, hand-serialized with fixed field order and pure-integer
 // number formatting, so a fixed-seed run emits byte-identical output on any
-// platform).  The only optional nondeterministic field is the host RSS
-// sample, off by default and enabled for soak drift analysis.
+// platform).
 //
 // The packet-conservation ledger counts *per-copy instances* of the
 // flight-recorded transport payloads (kData / kTcpAck; management and
@@ -68,9 +67,6 @@ struct HealthConfig {
   /// Ceiling for the in-flight watchdog; 0 disables the ceiling check
   /// (conservation — in_flight >= 0 — is always on).
   std::uint64_t max_in_flight = 0;
-  /// Sample /proc/self/statm RSS into each window ("rss_kb").  Off by
-  /// default: it is the only nondeterministic field in the stream.
-  bool sample_host_rss = false;
   /// Arm the fault-tolerance ledger (client outage windows, fault marks,
   /// convergence summary) and advertise schema version 2.  The scenario
   /// layer sets this when a FaultInjector is installed; fault-free runs
@@ -107,7 +103,6 @@ struct HealthWindow {
   std::uint64_t dropped = 0;
   std::int64_t in_flight = 0;
   std::vector<double> gauges;  // registration order
-  std::int64_t rss_kb = -1;    // < 0: not sampled
 };
 
 class HealthEngine {
