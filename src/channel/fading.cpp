@@ -25,9 +25,10 @@ FadingProcess::FadingProcess(FadingConfig cfg, Rng rng) {
   const double wavenumber = 2.0 * kPi / wavelength_m(cfg.carrier_hz);
   const int n = cfg.sinusoids_per_tap;
 
-  // RNG draw order is load-bearing: it must match ReferenceFading exactly
-  // (per tap: LOS angle, LOS phase, then per sinusoid theta, phase) or the
-  // two classes realise different channels from the same seed.
+  // RNG draw order is load-bearing: it must match ReferenceFading
+  // (tests/reference_fading.h) exactly (per tap: LOS angle, LOS phase, then
+  // per sinusoid theta, phase) or the two classes realise different
+  // channels from the same seed.
   taps_.reserve(cfg.taps.size());
   sin_spatial_freq_.reserve(cfg.taps.size() * static_cast<std::size_t>(n));
   sin_phase_.reserve(cfg.taps.size() * static_cast<std::size_t>(n));

@@ -42,7 +42,7 @@ struct FadingConfig {
 /// process serves uplink and downlink, which is what lets WGTT predict
 /// downlink delivery from uplink CSI).
 ///
-/// Hot-path layout (see channel::ReferenceFading for the retained original
+/// Hot-path layout (see tests/reference_fading.h for the retained original
 /// and DESIGN.md "Reference-vs-optimized seams" for the equivalence
 /// contract): the per-subcarrier twiddle exp(-j 2 pi f_k tau_t) depends
 /// only on the subcarrier grid and the tap delay — not on distance — so it

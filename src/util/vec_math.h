@@ -5,8 +5,9 @@
 // reference-vs-optimized seam (DESIGN.md): results are NOT bitwise identical
 // to scalar libm — libmvec documents a worst-case error of 4 ulp per element
 // — so every consumer keeps the original scalar implementation alive
-// (ReferenceFading, phy::reference_effective_snr_db) and the differential
-// suite (tests/fading_diff_test.cpp) bounds the divergence.
+// (channel::ReferenceFading beside the differential suite in tests/, and
+// phy::reference_effective_snr_db, also the runtime fallback) and the
+// differential suite (tests/fading_diff_test.cpp) bounds the divergence.
 //
 // Consumers must preserve the reference summation ORDER when they reduce
 // vectorized elements, so the seam's only divergence is per-element ulps

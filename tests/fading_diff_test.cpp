@@ -33,8 +33,8 @@
 #include <gtest/gtest.h>
 
 #include "channel/fading.h"
-#include "channel/reference_fading.h"
 #include "phy/esnr.h"
+#include "reference_fading.h"
 #include "util/rng.h"
 #include "util/units.h"
 #include "util/vec_math.h"
