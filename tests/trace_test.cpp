@@ -4,8 +4,9 @@
 // fixed-seed drive must emit a Chrome trace-event JSON, decision log,
 // telemetry CSV, packet log, causal stream and health stream whose SHA-256
 // hashes match the ones pinned below (plus the per-packet streams of the
-// same drive under control-plane chaos), and the very same trace bytes must
-// come out of a repeat run and of a 4-worker parallel sweep.  If an
+// same drive under control-plane chaos, and the streams of three drives down
+// the start-first and failover switch paths), and the very same trace bytes
+// must come out of a repeat run and of a 4-worker parallel sweep.  If an
 // intentional change to the simulation or to the instrumentation shifts a
 // stream, rerun this test and update its pin to the "actual" value printed.
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/handoff_policy.h"
 #include "obs/context.h"
 #include "scenario/experiment.h"
 #include "scenario/report.h"
@@ -172,7 +174,11 @@ TEST(GoldenTraceTest, FixedSeedDriveMatchesPinnedHash) {
 
 // The golden drive's other five streams (the Chrome trace is pinned above,
 // with causal tracing off: flow events would change it), and the per-packet
-// streams of the golden drive under a seeded control-chaos fault plan.
+// streams of the golden drive under a seeded control-chaos fault plan.  Then
+// three drives down the switch paths the golden drive never takes: the
+// start-first styles (make_before_break, bicast) and a liveness failover.
+// Each pins its decision, packet and causal streams and its Chrome trace with
+// causal tracing on, so the switch flow arrows are pinned too.
 constexpr StreamPin kStreamPins[] = {
     {"decisions",
      "737fa633fa5619fbc8b1187f143aa0c8c61333f722db34539c7c9510261ab3a6"},
@@ -190,6 +196,30 @@ constexpr StreamPin kStreamPins[] = {
      "e10634b2768f2b6a44370d1e48fbbc75a1bdbda7ce9a07156135ca16b2720857"},
     {"chaos_health",
      "74d78ced6a08a4b0f7e3393037820947d5040a85b7c4acc77c3d92f35f7c5312"},
+    {"mbb_decisions",
+     "c913948da930d81fc1572152148a36655a69affb03db4eaffbc724b55b12afd9"},
+    {"mbb_packets",
+     "b9fbd930df08d7427ef2204269989e7868de2f526ea9428b4eca883af1129191"},
+    {"mbb_causal",
+     "da5a690d93cf6dd975ff6a67f8be7840713d0b61eeb20b52ce844b544cf286fc"},
+    {"mbb_trace",
+     "83e77adf2845a42ca50a9b57d32f3c565fc7469335a14911ac86d128c8b32e78"},
+    {"bicast_decisions",
+     "57e915054007e367134e356eb922aa163b5269ef09d7fa0ec011d38bb8235547"},
+    {"bicast_packets",
+     "e2b20274a009bc3ddb5af8b9967b729d33594b70638728adf030b09646ef08e1"},
+    {"bicast_causal",
+     "2384f4f12affbb5d30dbd2c352c441ae363fcbe09d01080ca8de0cc98b8446e6"},
+    {"bicast_trace",
+     "3a220036d71003c5c4f70a7cb34f1d433fd211b18bce7cfe6a2d5be0c65fca77"},
+    {"failover_decisions",
+     "8256521ae42d55e479396be33c3474e5d4d10653d9fa787d94bee31381e02140"},
+    {"failover_packets",
+     "4c94fdb0415659a5b2711f8e21053d316f3dfc0a1825a8fda8776c83f1d91dd8"},
+    {"failover_causal",
+     "b7a221a5de9344327ee9e37dcf842b01635a9317af439877402c675c2bdb3f41"},
+    {"failover_trace",
+     "6535301fb7bb54c1582131ecc680a60b90211147553548d98918945d0a489be3"},
 };
 
 /// Golden config with every JSONL/CSV stream on.
@@ -203,25 +233,90 @@ scenario::DriveScenarioConfig all_streams_config() {
   return cfg;
 }
 
-/// The bytes of one pinned stream.  Runs only the drive that stream comes
-/// from: ctest runs each pin in its own process, in parallel.
+/// Whether `causal` holds a `site` annotation whose line contains `field`.
+bool has_annotation(std::string_view causal, std::string_view site,
+                    std::string_view field = {}) {
+  const std::string key = "\"site\":\"" + std::string(site) + "\"";
+  for (std::size_t pos = causal.find(key); pos != std::string_view::npos;
+       pos = causal.find(key, pos + 1)) {
+    const std::size_t begin = causal.rfind('\n', pos) + 1;
+    const std::string_view line =
+        causal.substr(begin, causal.find('\n', pos) - begin);
+    if (line.find(field) != std::string_view::npos) return true;
+  }
+  return false;
+}
+
+/// A switch-path drive: the golden drive under `policy` and `faults`, with
+/// the decision, packet and causal streams and the Chrome trace on.
+scenario::DriveScenarioConfig switch_path_config(const std::string& policy,
+                                                 const std::string& faults,
+                                                 std::string trace_path) {
+  scenario::DriveScenarioConfig cfg = golden_config(std::move(trace_path));
+  cfg.testbed.enable_decision_log = true;
+  cfg.testbed.enable_packet_log = true;
+  cfg.testbed.enable_causal = true;
+  EXPECT_TRUE(core::parse_policy_spec(policy, cfg.wgtt.controller.policy));
+  EXPECT_TRUE(sim::FaultPlan::parse(faults, cfg.testbed.faults));
+  return cfg;
+}
+
+/// The bytes of one pinned stream, named "<drive>_<stream>" (a bare stream
+/// name is the golden drive's).  Runs only the drive that stream comes from:
+/// ctest runs each pin in its own process, in parallel.
 std::string pinned_stream(std::string_view name) {
+  // Concurrent pin processes share the working directory.
+  const std::string trace_path = "pin_" + std::string(name) + ".json";
+  const std::size_t sep = name.find('_');
+  const std::string_view drive =
+      sep == std::string_view::npos ? "" : name.substr(0, sep);
+  if (!drive.empty()) name.remove_prefix(sep + 1);
   scenario::DriveScenarioConfig cfg = all_streams_config();
-  const bool chaos = name.starts_with("chaos_");
-  if (chaos) {
-    name.remove_prefix(6);
+  if (drive == "chaos") {
     cfg.testbed.enable_decision_log = false;
     cfg.testbed.enable_telemetry = false;
     cfg.testbed.faults =
         sim::FaultPlan::control_chaos(1.5, cfg.duration, 8, cfg.seed);
     EXPECT_FALSE(cfg.testbed.faults.empty());
+  } else if (drive == "mbb") {
+    cfg = switch_path_config("make_before_break", "", trace_path);
+  } else if (drive == "bicast") {
+    cfg = switch_path_config("bicast:hold_ms=50", "", trace_path);
+  } else if (drive == "failover") {
+    cfg = switch_path_config("median_esnr",
+                             "ap_crash:ap=2,at=1800ms,for=500ms;"
+                             "ap_crash:ap=3,at=2500ms,for=500ms",
+                             trace_path);
+    cfg.duration = Time::ms(3500);
+  } else if (!drive.empty()) {
+    ADD_FAILURE() << "unknown drive " << drive;
   }
   const scenario::DriveResult r = scenario::run_drive(cfg);
+  std::string trace;
+  if (!cfg.testbed.trace_path.empty()) {
+    trace = read_file(trace_path);
+    std::remove(trace_path.c_str());
+  }
+
+  // Each switch-path drive must still take its path, or its pins would
+  // silently stop covering it.
+  const std::string_view causal = r.causal_jsonl;
+  if (drive == "mbb") {
+    EXPECT_TRUE(has_annotation(causal, "ctrl.start_tx"));
+    EXPECT_TRUE(has_annotation(causal, "ctrl.quench_tx"));
+    EXPECT_FALSE(has_annotation(causal, "ctrl.stop_tx"));
+  } else if (drive == "bicast") {
+    EXPECT_GT(r.downlink_duplicates_removed, 0u);
+  } else if (drive == "failover") {
+    EXPECT_TRUE(has_annotation(causal, "ctrl.start_tx", "\"failover\":1"));
+  }
+
   if (name == "decisions") return r.decision_jsonl;
   if (name == "telemetry") return r.telemetry.to_csv();
   if (name == "packets") return r.packet_jsonl;
   if (name == "causal") return r.causal_jsonl;
   if (name == "health") return r.health_jsonl;
+  if (name == "trace") return trace;
   ADD_FAILURE() << "unknown stream " << name;
   return {};
 }
