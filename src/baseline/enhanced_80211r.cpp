@@ -40,10 +40,7 @@ void Distribution::set_association(net::NodeId client, net::NodeId ap) {
     auto old = assoc_.find(client);
     if (old != assoc_.end() && old->second != ap) {
       // Tell the abandoned AP to flush its stale per-client queue.
-      net::Packet p;
-      p.type = net::PacketType::kAssocSync;
-      p.size_bytes = 16;
-      p.payload = FlushClientMsg{client};
+      net::Packet p = core::control_packet(FlushClientMsg{client});
       p.src = net::kControllerId;
       p.dst = old->second;
       p.created = sched_.now();
@@ -187,10 +184,7 @@ void BaselineAp::on_management(net::PacketPtr pkt, const mac::RxMeta& meta) {
   info.authorized = true;
   info.associated_at = sched_.now();
   info.associating_ap = cfg_.id;
-  net::Packet p;
-  p.type = net::PacketType::kAssocSync;
-  p.size_bytes = core::ClientJoinedMsg::kWireBytes;
-  p.payload = core::ClientJoinedMsg{info};
+  net::Packet p = core::control_packet(core::ClientJoinedMsg{info});
   p.src = cfg_.id;
   p.dst = cfg_.distribution;
   p.created = sched_.now();

@@ -88,6 +88,8 @@ struct BeaconMsg {
 /// Distribution -> old AP: client moved away, flush its queue.
 struct FlushClientMsg {
   net::NodeId client = 0;
+  static constexpr net::PacketType kType = net::PacketType::kAssocSync;
+  static constexpr std::size_t kWireBytes = 16;
 };
 
 class BaselineAp {

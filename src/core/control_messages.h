@@ -1,12 +1,15 @@
 // Control-plane message bodies exchanged between the WGTT controller and
 // APs over the Ethernet backhaul.  Each rides in a net::Packet's payload;
-// the PacketType identifies which struct to expect.
+// the PacketType identifies which struct to expect.  Each struct states its
+// PacketType (kType) and its wire size, and control_packet() builds every
+// backhaul control packet from them.
 //
 // Wire sizes below are what the real UDP encodings would occupy; they feed
 // the backhaul serialization model.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/association.h"
@@ -30,6 +33,7 @@ struct StopMsg {
   /// older (epoch, switch_id) pairs.  Packs into the spare wire bytes —
   /// kWireBytes feeds the backhaul timing model and must not change.
   std::uint32_t epoch = 0;
+  static constexpr net::PacketType kType = net::PacketType::kStop;
   static constexpr std::size_t kWireBytes = 24;
 };
 
@@ -50,6 +54,7 @@ struct StartMsg {
   /// Controller fencing epoch, relayed from the stop(c) that caused this
   /// start (0 = unfenced; packs into spare wire bytes).
   std::uint32_t epoch = 0;
+  static constexpr net::PacketType kType = net::PacketType::kStart;
   static constexpr std::size_t kWireBytes = 24;
 };
 
@@ -61,6 +66,7 @@ struct SwitchAckMsg {
   /// Echo of the start's fencing epoch (0 = unfenced; spare wire bytes).  A
   /// restarted controller uses it to reject acks from before its crash.
   std::uint32_t epoch = 0;
+  static constexpr net::PacketType kType = net::PacketType::kSwitchAck;
   static constexpr std::size_t kWireBytes = 20;
 };
 
@@ -70,6 +76,7 @@ struct CsiReportMsg {
   net::NodeId ap = 0;
   net::NodeId client = 0;
   phy::Csi csi;
+  static constexpr net::PacketType kType = net::PacketType::kCsiReport;
   static constexpr std::size_t kWireBytes = 20 + 2 * phy::kNumSubcarriers;
 };
 
@@ -78,18 +85,21 @@ struct CsiReportMsg {
 struct BaForwardMsg {
   mac::BlockAckInfo ba;
   net::NodeId from_ap = 0;
+  static constexpr net::PacketType kType = net::PacketType::kBlockAckFwd;
   static constexpr std::size_t kWireBytes = 28;
 };
 
 /// Associating AP -> peers: replicated sta_info (§4.3).
 struct AssocSyncMsg {
   StaInfo info;
+  static constexpr net::PacketType kType = net::PacketType::kAssocSync;
   static constexpr std::size_t kWireBytes = 64;
 };
 
 /// Associating AP -> controller: a client finished associating with us.
 struct ClientJoinedMsg {
   StaInfo info;
+  static constexpr net::PacketType kType = net::PacketType::kAssocSync;
   static constexpr std::size_t kWireBytes = 64;
 };
 
@@ -117,6 +127,7 @@ struct ActiveApMsg {
   /// Controller fencing epoch the version counts within: versions restart
   /// at 1 after a warm restart, so receivers order by (epoch, version).
   std::uint32_t epoch = 0;
+  static constexpr net::PacketType kType = net::PacketType::kActiveAp;
   static constexpr std::size_t kWireBytes = 16;
 };
 
@@ -125,6 +136,7 @@ struct ActiveApMsg {
 /// controller's liveness monitor marks an AP suspect after missing K.
 struct HeartbeatMsg {
   net::NodeId ap = 0;
+  static constexpr net::PacketType kType = net::PacketType::kHeartbeat;
   static constexpr std::size_t kWireBytes = 12;
 };
 
@@ -134,6 +146,7 @@ struct HeartbeatMsg {
 /// even later restart cannot poison the rebuild.
 struct ResyncRequestMsg {
   std::uint32_t epoch = 0;
+  static constexpr net::PacketType kType = net::PacketType::kResync;
   static constexpr std::size_t kWireBytes = 12;
 };
 
@@ -152,10 +165,30 @@ struct ResyncReportMsg {
   net::NodeId ap = 0;
   std::uint32_t epoch = 0;
   std::vector<ResyncEntry> entries;
+  static constexpr net::PacketType kType = net::PacketType::kResync;
   /// Base wire size; each entry adds one replicated sta_info record.
   static constexpr std::size_t kWireBytes = 16;
   static constexpr std::size_t kEntryWireBytes = 72;
+  std::size_t wire_bytes() const {
+    return kWireBytes + entries.size() * kEntryWireBytes;
+  }
 };
+
+/// The backhaul packet carrying `msg`: its PacketType, its wire size and the
+/// message as payload.  The sender addresses it and draws its uid
+/// (net::make_packet).
+template <typename Msg>
+net::Packet control_packet(Msg msg) {
+  net::Packet p;
+  p.type = Msg::kType;
+  if constexpr (requires { msg.wire_bytes(); }) {
+    p.size_bytes = msg.wire_bytes();
+  } else {
+    p.size_bytes = Msg::kWireBytes;
+  }
+  p.payload = std::move(msg);
+  return p;
+}
 
 /// Over-the-air management bodies (client association handshake).
 struct AssocRequestMsg {

@@ -69,13 +69,7 @@ void WgttAp::on_fault(bool down) {
 void WgttAp::heartbeat_tick() {
   if (!down_) {
     ++stats_.heartbeats_sent;
-    net::Packet p;
-    p.type = net::PacketType::kHeartbeat;
-    p.size_bytes = HeartbeatMsg::kWireBytes;
-    HeartbeatMsg msg;
-    msg.ap = cfg_.id;
-    p.payload = msg;
-    send_to(cfg_.controller, std::move(p));
+    send_to(cfg_.controller, control_packet(HeartbeatMsg{cfg_.id}));
   }
   // Keep ticking while down so heartbeats resume the instant the AP does.
   sched_.schedule(cfg_.heartbeat_period, [this]() { heartbeat_tick(); });
@@ -281,17 +275,11 @@ void WgttAp::handle_stop(const StopMsg& msg) {
       ++stats_.quench_stops_handled;
       return;
     }
-    net::Packet p;
-    p.type = net::PacketType::kStart;
-    p.size_bytes = StartMsg::kWireBytes;
-    StartMsg start;
-    start.client = msg.client;
-    start.first_unsent_index = k;
-    start.switch_id = msg.switch_id;
-    start.epoch = msg.epoch;
-    start.from_ap = cfg_.id;
-    p.payload = start;
-    send_to(msg.next_ap, std::move(p));
+    send_to(msg.next_ap, control_packet(StartMsg{.client = msg.client,
+                                                 .first_unsent_index = k,
+                                                 .switch_id = msg.switch_id,
+                                                 .from_ap = cfg_.id,
+                                                 .epoch = msg.epoch}));
   });
 }
 
@@ -323,17 +311,11 @@ void WgttAp::handle_start(const StartMsg& msg) {
                              {"client", msg.client},
                              {"index", static_cast<std::int64_t>(k)}});
   st.activate(k);
-
-  net::Packet p;
-  p.type = net::PacketType::kSwitchAck;
-  p.size_bytes = SwitchAckMsg::kWireBytes;
-  SwitchAckMsg ack;
-  ack.client = msg.client;
-  ack.new_ap = cfg_.id;
-  ack.switch_id = msg.switch_id;
-  ack.epoch = msg.epoch;
-  p.payload = ack;
-  send_to(cfg_.controller, std::move(p));
+  send_to(cfg_.controller, control_packet(SwitchAckMsg{
+                               .client = msg.client,
+                               .new_ap = cfg_.id,
+                               .switch_id = msg.switch_id,
+                               .epoch = msg.epoch}));
 }
 
 void WgttAp::handle_active_ap(const ActiveApMsg& msg) {
@@ -403,12 +385,7 @@ void WgttAp::send_resync_report(std::uint32_t epoch) {
   const auto entries = static_cast<std::int64_t>(report.entries.size());
   obs_.annotate("ap.resync_report",
                 {{"ap", cfg_.id}, {"epoch", epoch}, {"entries", entries}});
-  net::Packet p;
-  p.type = net::PacketType::kResync;
-  p.size_bytes = ResyncReportMsg::kWireBytes +
-                 report.entries.size() * ResyncReportMsg::kEntryWireBytes;
-  p.payload = std::move(report);
-  send_to(cfg_.controller, std::move(p));
+  send_to(cfg_.controller, control_packet(std::move(report)));
 }
 
 void WgttAp::handle_ba_forward(const BaForwardMsg& msg) {
@@ -462,15 +439,8 @@ void WgttAp::on_frame_heard(const mac::RxMeta& meta) {
         break;
     }
   }
-  net::Packet p;
-  p.type = net::PacketType::kCsiReport;
-  p.size_bytes = CsiReportMsg::kWireBytes;
-  CsiReportMsg msg;
-  msg.ap = cfg_.id;
-  msg.client = meta.transmitter;
-  msg.csi = csi;
-  p.payload = msg;
-  send_to(cfg_.controller, std::move(p));
+  send_to(cfg_.controller, control_packet(CsiReportMsg{
+                               cfg_.id, meta.transmitter, std::move(csi)}));
 }
 
 void WgttAp::on_uplink_deliver(net::PacketPtr pkt, const mac::RxMeta& meta) {
@@ -490,14 +460,7 @@ void WgttAp::on_overheard_block_ack(const mac::BlockAckInfo& ba,
   auto it = active_ap_.find(ba.client);
   if (it == active_ap_.end() || it->second == cfg_.id) return;
   ++stats_.block_acks_forwarded;
-  net::Packet p;
-  p.type = net::PacketType::kBlockAckFwd;
-  p.size_bytes = BaForwardMsg::kWireBytes;
-  BaForwardMsg msg;
-  msg.ba = ba;
-  msg.from_ap = cfg_.id;
-  p.payload = msg;
-  send_to(it->second, std::move(p));
+  send_to(it->second, control_packet(BaForwardMsg{ba, cfg_.id}));
 }
 
 void WgttAp::on_management(net::PacketPtr pkt, const mac::RxMeta& meta) {
@@ -529,17 +492,9 @@ void WgttAp::on_management(net::PacketPtr pkt, const mac::RxMeta& meta) {
   if (is_new) {
     // Replicate sta_info to peers (§4.3) and tell the controller.
     for (net::NodeId peer : cfg_.peer_aps) {
-      net::Packet p;
-      p.type = net::PacketType::kAssocSync;
-      p.size_bytes = AssocSyncMsg::kWireBytes;
-      p.payload = AssocSyncMsg{info};
-      send_to(peer, std::move(p));
+      send_to(peer, control_packet(AssocSyncMsg{info}));
     }
-    net::Packet p;
-    p.type = net::PacketType::kAssocSync;
-    p.size_bytes = ClientJoinedMsg::kWireBytes;
-    p.payload = ClientJoinedMsg{info};
-    send_to(cfg_.controller, std::move(p));
+    send_to(cfg_.controller, control_packet(ClientJoinedMsg{info}));
   }
 }
 
