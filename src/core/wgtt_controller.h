@@ -66,9 +66,10 @@ struct ControllerConfig {
   /// Quarantine backoff for a flapping AP: base * 2^(flaps-1), capped.
   Time quarantine_base = Time::ms(200);
   Time quarantine_cap = Time::sec(5);
-  /// Bounded control-message retries (stop / failover start): after this
-  /// many retransmissions the switch is abandoned instead of retrying
-  /// forever into a dead AP.
+  /// Bounded control-message retries: every switch but a fault-free
+  /// stop-start one (which retransmits its stop until acked, §3.1.2) is
+  /// abandoned after this many retransmissions instead of retrying forever
+  /// into a dead AP.
   std::size_t max_control_retries = 4;
   /// Consecutive byte-identical ESNR readings from one (client, AP) pair
   /// before the AP's CSI is considered frozen and excluded from selection.
@@ -251,7 +252,6 @@ class WgttController {
   bool csi_frozen(const ClientState& st, net::NodeId ap) const;
   void attempt_failover(net::NodeId client, ClientState& st, Time now,
                         DecisionReason reason = DecisionReason::kApSuspect);
-  void send_failover_start(net::NodeId client, ClientState& st);
   Time quarantine_for(std::uint32_t flaps) const;
   void log_liveness(net::NodeId ap, const char* event, std::uint32_t flaps,
                     Time quarantine);
@@ -265,15 +265,18 @@ class WgttController {
   void log_decision(net::NodeId client, const ClientState& st, Time now,
                     DecisionOutcome outcome, DecisionReason reason,
                     net::NodeId chosen, Time hysteresis_remaining);
-  void initiate_switch(net::NodeId client, ClientState& st, net::NodeId target,
-                       SwitchStyle style = SwitchStyle::kStopStart,
-                       Time bicast_hold = Time::zero());
-  /// Open the switch's trace flow arrow (causal tracing and tracer both on).
-  void start_switch_flow(ClientState& st);
-  void send_stop(net::NodeId client, ClientState& st);
-  /// Start-first styles: originate start(c, resume-from-head) at the target
-  /// without stopping the incumbent (it is quenched after the ack).
-  void send_direct_start(net::NodeId client, ClientState& st);
+  /// Open a switch of `client` to `target`, from a policy decision or (with
+  /// `failover`) off a dead incumbent: set the switch FSM, write the
+  /// switch_start records and send the switch's first message.
+  void begin_switch(net::NodeId client, ClientState& st, net::NodeId target,
+                    SwitchStyle style, Time bicast_hold, bool failover);
+  /// Send the in-flight switch's stop(c) to the incumbent, or, for
+  /// start-first styles and failovers, start(c, resume-from-head) to the
+  /// target; then arm the ack timeout.
+  void send_switch(net::NodeId client, ClientState& st);
+  /// The in-flight switch's ack did not arrive in time: retransmit, or
+  /// abandon the switch (the retry rule).
+  void on_ack_timeout(net::NodeId client);
   /// Tell `ap` to stop transmitting to `client` with no handover relay (the
   /// successor is already active).
   void send_quench(net::NodeId ap, net::NodeId client, net::NodeId new_ap,
@@ -281,6 +284,11 @@ class WgttController {
   void broadcast_active(net::NodeId client, net::NodeId ap, bool bootstrap,
                         bool overlap = false);
   ClientState& client_state(net::NodeId client);
+  /// The fencing epoch control messages carry (0, unfenced, on fault-free
+  /// runs).
+  std::uint32_t fence_epoch() const {
+    return injector_ != nullptr ? epoch_ : 0;
+  }
   void send_to(net::NodeId dst, net::Packet fields);
 
   sim::Scheduler& sched_;
