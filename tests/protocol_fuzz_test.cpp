@@ -6,8 +6,12 @@
 //    SwitchAckMsg completing the wrong switch at the controller, and a
 //    replayed StartMsg re-activating an already-handed-over AP (the
 //    dual-active transmitter bug);
+//  * the retry rule: a fault-free stop-start switch retransmits its stop
+//    until acked, and a start-first switch toward a silent target is
+//    abandoned after max_control_retries;
 //  * the deterministic protocol fuzzer: 32 seeded adversarial schedules per
-//    mode ({msg_dup, msg_reorder, ctrl_crash, combined}) driven through
+//    mode ({msg_dup, msg_reorder, ctrl_crash, combined}, and the combined
+//    schedules under the make_before_break and bicast styles) driven through
 //    full drives, asserting zero health errors, no client stranded, the
 //    at-most-one-active-transmitter invariant, and per-client
 //    (epoch, switch_id) monotonicity across the switch log;
@@ -321,6 +325,102 @@ TEST(StaleStartRegression, RetransmittedCurrentStopReprocessesIdempotently) {
 }
 
 // ---------------------------------------------------------------------------
+// The retry rule: which switches give up
+// ---------------------------------------------------------------------------
+
+// A fault-free controller (no injector installed) between two scripted APs
+// that never ack: AP1 holds the client, AP2 reports far better CSI for the
+// whole run.  Each AP counts the stop(c) / start(c) frames it swallows by
+// switch id.
+class RetryRuleTest : public ::testing::Test {
+ protected:
+  RetryRuleTest() : backhaul(sched, net::BackhaulConfig{}, Rng(1)) {}
+
+  /// Run `policy`'s controller for `horizon` with CSI favouring AP2.
+  void drive(const char* policy, Time horizon) {
+    ControllerConfig cfg;
+    ASSERT_TRUE(core::parse_policy_spec(policy, cfg.policy));
+    controller = std::make_unique<WgttController>(
+        sched, backhaul, std::vector<net::NodeId>{1, 2}, cfg);
+    for (net::NodeId ap : {1u, 2u}) {
+      backhaul.attach(ap, [this, ap](const net::TunneledPacket& f) {
+        const auto inner = net::decapsulate(f);
+        if (const auto* stop = net::payload_as<StopMsg>(*inner)) {
+          EXPECT_EQ(ap, 1u);
+          ++stops[stop->switch_id];
+        } else if (const auto* start = net::payload_as<StartMsg>(*inner)) {
+          EXPECT_EQ(ap, 2u);
+          ++starts[start->switch_id];
+        }
+      });
+    }
+    core::StaInfo info;
+    info.client = net::kClientBase;
+    info.associating_ap = 1;
+    backhaul.send(net::encapsulate(
+        net::make_packet(core::control_packet(core::ClientJoinedMsg{info})),
+        1, net::kControllerId));
+    for (Time t = Time::zero(); t < horizon; t += Time::ms(2)) {
+      sched.schedule(t, [this]() {
+        feed_csi(1, 5.0);
+        feed_csi(2, 18.0);
+      });
+    }
+    sched.run_until(horizon);
+  }
+
+  void feed_csi(net::NodeId ap, double snr_db) {
+    phy::Csi csi;
+    for (auto& s : csi.subcarrier_snr_db) s = snr_db;
+    for (int i = 0; i < 2; ++i) {
+      backhaul.send(net::encapsulate(
+          net::make_packet(core::control_packet(
+              core::CsiReportMsg{ap, net::kClientBase, csi})),
+          ap, net::kControllerId));
+    }
+  }
+
+  sim::Scheduler sched;
+  net::Backhaul backhaul;
+  std::unique_ptr<WgttController> controller;
+  std::map<std::uint32_t, unsigned> stops;   // at AP1, by switch id
+  std::map<std::uint32_t, unsigned> starts;  // at AP2, by switch id
+};
+
+TEST_F(RetryRuleTest, StartFirstSwitchToASilentTargetIsAbandoned) {
+  drive("make_before_break", Time::ms(600));
+  const core::ControllerStats& st = controller->stats();
+  const std::size_t retries = controller->config().max_control_retries;
+  // Switch ids count up from 1 and each switch ends before the next
+  // begins, so switches 1..abandoned_switches are the abandoned ones.
+  ASSERT_GE(st.abandoned_switches, 2u);
+  for (std::uint32_t id = 1; id <= st.abandoned_switches; ++id) {
+    EXPECT_EQ(starts[id], retries + 1)
+        << "switch " << id << " made " << starts[id] - 1
+        << " retransmissions, not max_control_retries";
+  }
+  // The incumbent was never stopped or quenched: the client stays on it.
+  EXPECT_TRUE(stops.empty());
+  EXPECT_EQ(st.switches_completed, 0u);
+  EXPECT_EQ(controller->active_ap(net::kClientBase), 1u);
+}
+
+TEST_F(RetryRuleTest, FaultFreeStopStartSwitchRetransmitsUntilAcked) {
+  drive("median_esnr", Time::ms(600));
+  const core::ControllerStats& st = controller->stats();
+  const std::size_t retries = controller->config().max_control_retries;
+  // One switch, still in flight: its stop went out far more often than the
+  // retry bound allows any other switch, at the flat 30 ms ack timeout.
+  EXPECT_EQ(st.abandoned_switches, 0u);
+  EXPECT_TRUE(controller->switch_in_flight(net::kClientBase));
+  ASSERT_EQ(stops.size(), 1u);
+  EXPECT_GT(stops[1], 2 * (retries + 1));
+  EXPECT_EQ(st.stop_retransmissions, stops[1] - 1);
+  EXPECT_TRUE(starts.empty());
+  EXPECT_EQ(controller->active_ap(net::kClientBase), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // The deterministic protocol fuzzer
 // ---------------------------------------------------------------------------
 
@@ -331,7 +431,8 @@ const Time kFuzzHorizon = Time::sec(3);
 /// control-chaos schedule, with the health engine's outage ledger on.
 /// control_chaos confines every fault window to [10%, 75%] of the horizon,
 /// so the final ~0.75 s is fault-free convergence headroom.
-scenario::DriveScenarioConfig fuzz_config(std::uint64_t seed, unsigned mask) {
+scenario::DriveScenarioConfig fuzz_config(std::uint64_t seed, unsigned mask,
+                                          const char* policy = "median_esnr") {
   scenario::DriveScenarioConfig cfg;
   cfg.system = scenario::SystemType::kWgtt;
   cfg.traffic = scenario::TrafficType::kTcpDownlink;
@@ -341,6 +442,7 @@ scenario::DriveScenarioConfig fuzz_config(std::uint64_t seed, unsigned mask) {
   cfg.testbed.enable_health = true;
   cfg.testbed.faults =
       FaultPlan::control_chaos(1.5, kFuzzHorizon, 8, seed, mask);
+  EXPECT_TRUE(core::parse_policy_spec(policy, cfg.wgtt.controller.policy));
   return cfg;
 }
 
@@ -359,15 +461,16 @@ struct FuzzSummary {
   std::uint64_t stale_acks = 0;
   std::uint64_t resyncs = 0;
   std::uint64_t switches = 0;
+  std::uint64_t client_duplicates = 0;
 };
 
-/// Run kFuzzSeeds adversarial drives for one fault-kind mask (8-way
-/// parallel), assert the protocol contract on every run, and return the
-/// summed hardening counters for the per-mode expectations.
-FuzzSummary fuzz_mode(unsigned mask) {
+/// Run kFuzzSeeds adversarial drives for one fault-kind mask and handoff
+/// policy (8-way parallel), assert the protocol contract on every run, and
+/// return the summed hardening counters for the per-mode expectations.
+FuzzSummary fuzz_mode(unsigned mask, const char* policy = "median_esnr") {
   std::vector<scenario::DriveScenarioConfig> configs;
   for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
-    configs.push_back(fuzz_config(seed, mask));
+    configs.push_back(fuzz_config(seed, mask, policy));
     EXPECT_FALSE(configs.back().testbed.faults.empty()) << "seed " << seed;
   }
   scenario::SweepRunner runner(scenario::SweepOptions{.jobs = 8});
@@ -414,6 +517,7 @@ FuzzSummary fuzz_mode(unsigned mask) {
     sum.stale_acks += counter_sum(r.metrics, "controller.protocol.stale_acks");
     sum.resyncs += counter_sum(r.metrics, "controller.protocol.resyncs");
     sum.switches += r.switches.size();
+    sum.client_duplicates += r.downlink_duplicates_removed;
   }
   // The schedules actually exercised something: faults fired and the
   // control plane kept switching through them.
@@ -444,6 +548,21 @@ TEST(ProtocolFuzz, CombinedAdversarialSchedulesConverge) {
   const FuzzSummary s = fuzz_mode(FaultPlan::kChaosControlAll);
   EXPECT_GT(s.dup_suppressed + s.stale_rejected + s.stale_acks + s.resyncs,
             0u);
+}
+
+// The start-first styles under the combined schedules: direct starts,
+// post-ack quenches and bicast overlap windows must keep the same contract.
+// Client-side duplicates show the overlap really happened.
+TEST(ProtocolFuzz, MakeBeforeBreakSchedulesConverge) {
+  const FuzzSummary s =
+      fuzz_mode(FaultPlan::kChaosControlAll, "make_before_break");
+  EXPECT_GT(s.client_duplicates, 0u);
+}
+
+TEST(ProtocolFuzz, BicastSchedulesConverge) {
+  const FuzzSummary s =
+      fuzz_mode(FaultPlan::kChaosControlAll, "bicast:hold_ms=50");
+  EXPECT_GT(s.client_duplicates, 0u);
 }
 
 // ---------------------------------------------------------------------------
