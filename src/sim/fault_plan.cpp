@@ -1,9 +1,10 @@
 #include "sim/fault_plan.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "util/rng.h"
 
@@ -15,21 +16,33 @@ bool fail(std::string* error, std::string msg) {
   return false;
 }
 
+/// A whole finite decimal number: no trailing characters, no NaN or inf.
+bool parse_number(std::string_view v, double& out) {
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc{} && end == v.data() + v.size() && std::isfinite(out);
+}
+
+/// A node id: a whole unsigned decimal that fits in 32 bits.
+bool parse_node(std::string_view v, std::uint32_t& out) {
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc{} && end == v.data() + v.size();
+}
+
 /// "250ms" / "80us" / "1.5s" -> Time.  The suffix is mandatory so specs
-/// never silently mean the wrong unit.
+/// never silently mean the wrong unit, and the time must fit Time.
 bool parse_time(std::string_view v, Time& out) {
+  double ns_per_unit = 1e9;
+  if (v.ends_with("us")) ns_per_unit = 1e3;
+  else if (v.ends_with("ms")) ns_per_unit = 1e6;
+  else if (!v.ends_with("s")) return false;
+  v.remove_suffix(ns_per_unit == 1e9 ? 1 : 2);
   double num = 0.0;
-  std::size_t used = 0;
-  try {
-    num = std::stod(std::string(v), &used);
-  } catch (...) {
-    return false;
-  }
-  const std::string_view suffix = v.substr(used);
-  if (suffix == "us") out = Time::us(num);
-  else if (suffix == "ms") out = Time::ms(num);
-  else if (suffix == "s") out = Time::sec(num);
-  else return false;
+  if (!parse_number(v, num)) return false;
+  const double ns = num * ns_per_unit;
+  constexpr auto kMaxNs =
+      static_cast<double>(std::numeric_limits<std::int64_t>::max());
+  if (!(std::fabs(ns) < kMaxNs)) return false;
+  out = Time::ns(static_cast<std::int64_t>(ns));
   return true;
 }
 
@@ -44,10 +57,10 @@ bool parse_kind(std::string_view v, FaultKind& out) {
   return false;
 }
 
-bool is_link_kind(FaultKind k) {
-  return k == FaultKind::kLinkDrop || k == FaultKind::kLinkLatency ||
-         k == FaultKind::kPartition || k == FaultKind::kMsgDup ||
-         k == FaultKind::kMsgReorder;
+/// Kinds that fault one AP, so their node can never be 0, the controller.
+bool is_ap_kind(FaultKind k) {
+  return k == FaultKind::kApCrash || k == FaultKind::kCsiFreeze ||
+         k == FaultKind::kCsiGarbage;
 }
 
 }  // namespace
@@ -77,14 +90,17 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan& out,
     const std::string_view clause = spec.substr(pos, end - pos);
     pos = end + 1;
     if (clause.empty()) continue;
+    // Every error names the clause it rejects.
+    const auto bad = [&](const std::string& why) {
+      return fail(error, "clause '" + std::string(clause) + "': " + why);
+    };
 
     const std::size_t colon = clause.find(':');
-    if (colon == std::string_view::npos)
-      return fail(error, "missing ':' in clause '" + std::string(clause) + "'");
+    if (colon == std::string_view::npos) return bad("missing ':'");
     FaultEvent ev;
     if (!parse_kind(clause.substr(0, colon), ev.kind))
-      return fail(error, "unknown fault kind '" +
-                             std::string(clause.substr(0, colon)) + "'");
+      return bad("unknown fault kind '" +
+                 std::string(clause.substr(0, colon)) + "'");
 
     bool have_at = false, have_node = false, have_rate = false;
     std::size_t kpos = colon + 1;
@@ -95,52 +111,57 @@ bool FaultPlan::parse(std::string_view spec, FaultPlan& out,
       kpos = kend + 1;
       const std::size_t eq = kv.find('=');
       if (eq == std::string_view::npos)
-        return fail(error, "missing '=' in '" + std::string(kv) + "'");
+        return bad("missing '=' in '" + std::string(kv) + "'");
       const std::string_view key = kv.substr(0, eq);
       const std::string_view val = kv.substr(eq + 1);
+      const auto bad_time = [&] {
+        return bad("bad time '" + std::string(val) + "' (use us/ms/s)");
+      };
       if (key == "ap" || key == "src") {
-        ev.node = static_cast<std::uint32_t>(std::atoll(std::string(val).c_str()));
+        if (!parse_node(val, ev.node))
+          return bad("bad node id '" + std::string(val) + "'");
         have_node = true;
       } else if (key == "dst") {
-        ev.peer = static_cast<std::uint32_t>(std::atoll(std::string(val).c_str()));
+        if (!parse_node(val, ev.peer))
+          return bad("bad node id '" + std::string(val) + "'");
       } else if (key == "at") {
-        if (!parse_time(val, ev.at))
-          return fail(error, "bad time '" + std::string(val) + "' (use us/ms/s)");
+        if (!parse_time(val, ev.at)) return bad_time();
+        if (ev.at < Time::zero()) return bad("at= must be >= 0");
         have_at = true;
       } else if (key == "for") {
-        if (!parse_time(val, ev.duration))
-          return fail(error, "bad time '" + std::string(val) + "' (use us/ms/s)");
+        if (!parse_time(val, ev.duration)) return bad_time();
       } else if (key == "rate") {
-        ev.rate = std::atof(std::string(val).c_str());
-        if (!(ev.rate >= 0.0 && ev.rate <= 1.0))
-          return fail(error, "rate must be in [0, 1]");
+        if (!parse_number(val, ev.rate) || ev.rate < 0.0 || ev.rate > 1.0)
+          return bad("bad rate '" + std::string(val) +
+                     "': rate must be in [0, 1]");
         have_rate = true;
       } else if (key == "extra") {
-        if (!parse_time(val, ev.extra))
-          return fail(error, "bad time '" + std::string(val) + "' (use us/ms/s)");
+        if (!parse_time(val, ev.extra)) return bad_time();
       } else {
-        return fail(error, "unknown key '" + std::string(key) + "'");
+        return bad("unknown key '" + std::string(key) + "'");
       }
     }
+    const std::string kind = to_string(ev.kind);
     // ctrl_crash always targets the controller (node 0), so its node id is
-    // optional; every other kind must name the faulted AP / link endpoint.
+    // optional; every other kind must name the faulted AP / link endpoint,
+    // and an AP fault must not name the controller.
     if (!have_node && ev.kind != FaultKind::kCtrlCrash)
-      return fail(error, std::string(to_string(ev.kind)) +
-                             ": missing ap=/src= node id");
-    if (!have_at)
-      return fail(error, std::string(to_string(ev.kind)) + ": missing at=");
+      return bad(kind + ": missing ap=/src= node id");
+    if (is_ap_kind(ev.kind) && ev.node == 0)
+      return bad(kind + ": node 0 is the controller (use ctrl_crash)");
+    if (!have_at) return bad(kind + ": missing at=");
     if (ev.kind == FaultKind::kLinkDrop && ev.rate <= 0.0)
-      return fail(error, "link_drop: missing rate=");
+      return bad("link_drop: missing rate=");
     if (ev.kind == FaultKind::kLinkLatency && ev.extra <= Time::zero())
-      return fail(error, "link_latency: missing extra=");
+      return bad("link_latency: missing extra=");
     // Unlike link_drop (where the 1.0 default means blackout), a dup or
     // reorder burst has no meaningful default probability: require rate=.
     if (ev.kind == FaultKind::kMsgDup && (!have_rate || ev.rate <= 0.0))
-      return fail(error, "msg_dup: missing rate=");
+      return bad("msg_dup: missing rate=");
     if (ev.kind == FaultKind::kMsgReorder && (!have_rate || ev.rate <= 0.0))
-      return fail(error, "msg_reorder: missing rate=");
+      return bad("msg_reorder: missing rate=");
     if (ev.kind == FaultKind::kMsgReorder && ev.extra <= Time::zero())
-      return fail(error, "msg_reorder: missing extra= (jitter bound)");
+      return bad("msg_reorder: missing extra= (jitter bound)");
     plan.events.push_back(ev);
   }
   out = std::move(plan);

@@ -75,9 +75,14 @@ struct FaultPlan {
   ///   times  := <number> suffixed us | ms | s
   ///
   /// e.g. "ap_crash:ap=3,at=1s,for=500ms;link_drop:src=2,at=2s,for=1s,rate=0.5"
-  /// ctrl_crash targets the controller, so its node id is optional; msg_dup
-  /// requires rate= and msg_reorder requires rate= and extra= (jitter bound).
-  /// Returns false (and sets *error if given) on a malformed spec.
+  /// Every value must parse whole: a node id is an unsigned integer that
+  /// fits in 32 bits, a rate a finite number in [0, 1], a time a finite
+  /// number that fits Time.  at= must be >= 0; a non-positive for= means the
+  /// fault never clears.  ctrl_crash targets the controller, so its node id
+  /// is optional; ap_crash, csi_freeze and csi_garbage reject node 0 (the
+  /// controller).  msg_dup requires rate= and msg_reorder requires rate=
+  /// and extra= (jitter bound).  Returns false (and sets *error, naming the
+  /// offending clause, if given) on a malformed spec.
   static bool parse(std::string_view spec, FaultPlan& out,
                     std::string* error = nullptr);
 

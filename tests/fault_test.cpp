@@ -82,13 +82,59 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
       "link_drop:src=1,at=1s,rate=0",      // a drop burst that drops nothing
       "link_drop:src=1,at=1s,rate=1.5",    // rate out of [0, 1]
       "link_latency:src=1,at=1s",          // link_latency without extra
+      // Values must parse whole: atoll/atof/stod once read these as
+      // something else.
+      "ap_crash:ap=x,at=1500ms,for=500ms",  // was node 0, the controller
+      "ap_crash:ap=,at=1s",                 // was node 0
+      "ap_crash:ap=-1,at=1s",               // was node 4294967295
+      "ap_crash:ap=4294967296,at=1s",       // wider than 32 bits
+      "ap_crash:ap=3x,at=1s",               // trailing junk after the id
+      "link_drop:src=1,dst=x,at=1s",        // was peer 0
+      "link_drop:src=1,at=1s,rate=0.5abc",  // was rate 0.5
+      "ap_crash:ap=1,at=-1s",               // onset before t=0
+      "ap_crash:ap=1,at=nans",              // was INT64_MIN ns
+      "ap_crash:ap=1,at=1e30s",             // beyond Time; was INT64_MIN ns
+      "ap_crash:ap=1,at=1s,for=infs",       // not finite
+      "ap_crash:ap=1,at=1s,extra=nanms",    // not finite
+      // AP-scoped kinds must not name node 0, the controller.
+      "ap_crash:ap=0,at=1s,for=500ms",
+      "csi_freeze:ap=0,at=1s",
+      "csi_garbage:src=0,at=1s",
   };
   for (const char* spec : bad) {
     FaultPlan plan;
     std::string err;
     EXPECT_FALSE(FaultPlan::parse(spec, plan, &err)) << spec;
-    EXPECT_FALSE(err.empty()) << spec;
+    // Each spec is one clause, and the error names it.
+    EXPECT_NE(err.find(spec), std::string::npos) << spec << ": " << err;
   }
+  // In a multi-clause spec the error names the bad clause, not the spec.
+  FaultPlan plan;
+  std::string err;
+  EXPECT_FALSE(FaultPlan::parse(
+      "ap_crash:ap=3,at=1s;csi_freeze:ap=x,at=2s", plan, &err));
+  EXPECT_NE(err.find("'csi_freeze:ap=x,at=2s'"), std::string::npos) << err;
+  EXPECT_EQ(err.find("ap_crash"), std::string::npos) << err;
+}
+
+TEST(FaultPlanTest, AcceptsTheValidEdgesOfTheGrammar) {
+  FaultPlan plan;
+  std::string err;
+  ASSERT_TRUE(FaultPlan::parse(
+      "link_drop:src=2,dst=0,at=0s,rate=1;"  // dst=0 is the controller leg
+      "ctrl_crash:at=1s;"                    // ctrl_crash needs no node
+      "ctrl_crash:ap=0,at=2s,for=0ms;"       // for=0: never clears
+      "ap_crash:ap=4294967295,at=3s,for=-1s",  // largest id; never clears
+      plan, &err))
+      << err;
+  ASSERT_EQ(plan.events.size(), 4u);
+  EXPECT_EQ(plan.events[0].peer, 0u);
+  EXPECT_EQ(plan.events[0].at, Time::zero());
+  EXPECT_EQ(plan.events[0].rate, 1.0);
+  EXPECT_EQ(plan.events[1].node, 0u);
+  EXPECT_EQ(plan.events[2].duration, Time::zero());
+  EXPECT_EQ(plan.events[3].node, 4294967295u);
+  EXPECT_EQ(plan.events[3].duration, Time::sec(-1));
 }
 
 TEST(FaultPlanTest, EmptyAndSeparatorOnlySpecsParseToNoFaults) {

@@ -93,7 +93,8 @@ TEST_P(SchemaHeaderTest, ReportReadsStreamAndRejectsUnknownVersion) {
   ASSERT_TRUE(write_text_file(good, jsonl));
   EXPECT_NE(run_report(good), 2)
       << GetParam().subcommand
-      << " exited 2 (schema error) on the schema header its own emitter wrote";
+      << " exited 2 (schema error) on the schema header its own emitter "
+         "wrote, so reader and writer disagree";
 
   // Bump the header's version far past anything this tool understands: the
   // reader must refuse with the schema exit code rather than guess.
