@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "phy/esnr.h"
 #include "util/health.h"
@@ -196,21 +197,23 @@ void WgttController::handle_csi_report(const CsiReportMsg& msg) {
   prof::ScopedSection timer(p_csi_);
   ++stats_.csi_reports;
   ClientState& st = client_state(msg.client);
-  const double esnr = phy::selection_esnr_db(msg.csi);
-  st.selector->add_reading(msg.ap, sched_.now(), esnr);
-  st.selector->prune(sched_.now());
-  if (injector_ != nullptr) {
-    // Frozen-CSI detector: a faulty AP replaying its last report produces a
-    // run of bit-identical ESNRs; real fading never holds a double exactly
-    // constant across reports.
-    CsiRepeat& r = st.csi_repeat[msg.ap];
-    if (r.repeats > 0 && esnr == r.last_esnr) {
-      ++r.repeats;
-    } else {
-      r.last_esnr = esnr;
-      r.repeats = 1;
-    }
+  const auto [it, first] = st.last_report.try_emplace(msg.ap);
+  LastReport& last = it->second;
+  const auto& snr = msg.csi.subcarrier_snr_db;
+  // The ESNR is a pure function of the SNRs' bits: a static channel's
+  // reports reuse the last one's instead of rerunning the kernel.
+  if (first || std::memcmp(snr.data(), last.snr_db.data(),
+                           sizeof last.snr_db) != 0) {
+    last.snr_db = snr;
+    last.esnr = phy::selection_esnr_db(msg.csi);
   }
+  // Frozen-CSI detector: an AP whose CSI tool wedged replays its last
+  // report, measurement time included.
+  last.repeats =
+      !first && msg.csi.measured_at == last.measured_at ? last.repeats + 1 : 1;
+  last.measured_at = msg.csi.measured_at;
+  st.selector->add_reading(msg.ap, sched_.now(), last.esnr);
+  st.selector->prune(sched_.now());
 }
 
 void WgttController::handle_client_joined(const ClientJoinedMsg& msg) {
@@ -674,8 +677,8 @@ bool WgttController::ap_live(net::NodeId ap) const {
 }
 
 bool WgttController::csi_frozen(const ClientState& st, net::NodeId ap) const {
-  auto it = st.csi_repeat.find(ap);
-  return it != st.csi_repeat.end() &&
+  auto it = st.last_report.find(ap);
+  return it != st.last_report.end() &&
          it->second.repeats >= cfg_.stale_csi_repeats;
 }
 
@@ -786,10 +789,10 @@ void WgttController::attempt_failover(net::NodeId client, ClientState& st,
     // this client — a stale guess beats certain starvation on a dead AP.
     target = 0;
     double best_esnr = -1e300;
-    for (const auto& [ap, rep] : st.csi_repeat) {
+    for (const auto& [ap, rep] : st.last_report) {
       if (ap == st.active_ap || !ap_live(ap) || csi_frozen(st, ap)) continue;
-      if (rep.last_esnr > best_esnr) {
-        best_esnr = rep.last_esnr;
+      if (rep.esnr > best_esnr) {
+        best_esnr = rep.esnr;
         target = ap;
       }
     }
