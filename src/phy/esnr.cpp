@@ -187,11 +187,7 @@ double effective_snr_db(const Csi& csi, Modulation mod) {
 }
 
 double selection_esnr_db(const Csi& csi) {
-  return effective_snr_db(csi, Modulation::kQam16);
-}
-
-double selection_esnr_db(std::span<const double> subcarrier_snr_db) {
-  return effective_snr_db(subcarrier_snr_db, Modulation::kQam16);
+  return effective_snr_db(csi, kSelectionModulation);
 }
 
 }  // namespace wgtt::phy

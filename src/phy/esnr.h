@@ -44,10 +44,12 @@ double effective_snr_db(std::span<const double> subcarrier_snr_db,
 double reference_effective_snr_db(std::span<const double> subcarrier_snr_db,
                                   Modulation mod);
 
-/// The scalar selection metric used by the WGTT controller: ESNR for the
-/// mid-table modulation (16-QAM), a good discriminator across the whole
+/// The modulation of the scalar selection metric used by the WGTT
+/// controller: the mid-table 16-QAM, a good discriminator across the whole
 /// operating range.
+constexpr Modulation kSelectionModulation = Modulation::kQam16;
+
+/// The selection metric: ESNR at kSelectionModulation.
 double selection_esnr_db(const Csi& csi);
-double selection_esnr_db(std::span<const double> subcarrier_snr_db);
 
 }  // namespace wgtt::phy
