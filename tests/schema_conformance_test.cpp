@@ -80,7 +80,7 @@ TEST_P(SchemaHeaderTest, StreamOpensWithValidSchemaHeader) {
   EXPECT_EQ(header.string_or("stream", ""), GetParam().stream)
       << "header names the wrong stream";
   EXPECT_GE(header.number_or("version", 0.0), 1.0)
-      << "header carries no version";
+      << "header carries no version, so no reader can check its schema";
 }
 
 TEST_P(SchemaHeaderTest, ReportReadsStreamAndRejectsUnknownVersion) {
