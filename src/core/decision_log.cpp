@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "util/jsonl.h"
-#include "util/trace.h"
-
 namespace wgtt::core {
 
 const char* to_string(DecisionOutcome o) {
@@ -36,77 +33,75 @@ namespace {
 
 // Fixed-point milli-units via integer arithmetic: byte-identical rendering of
 // doubles across platforms (printf %g is not).
-std::string format_milli(double v) {
-  const long long m = std::llround(v * 1000.0);
-  return std::to_string(m);
-}
+long long milli(double v) { return std::llround(v * 1000.0); }
 
 }  // namespace
 
 // Only runs with the hardened control plane armed advertise version 2 (which
 // adds the "resync" reason); fault-free logs stay byte-identical to version 1.
 DecisionLog::DecisionLog(bool protocol_extensions)
-    : out_(obs::jsonl_document("wgtt.decisions",
-                               protocol_extensions
-                                   ? kDecisionLogSchemaVersionResync
-                                   : kDecisionLogSchemaVersion,
-                               0)) {}
+    : out_("wgtt.decisions", protocol_extensions
+                                 ? kDecisionLogSchemaVersionResync
+                                 : kDecisionLogSchemaVersion) {}
 
 void DecisionLog::append(const DecisionRecord& rec) {
   // Hand-rolled serialization (field order fixed by this code, numbers
   // integer-formatted) rather than JsonWriter — every byte is deterministic.
-  std::string& s = out_;
-  s += "{\"t_us\":";
-  s += trace::Tracer::format_ts(rec.t);
-  s += ",\"client\":";
-  s += std::to_string(rec.client);
-  s += ",\"incumbent\":";
-  s += std::to_string(rec.incumbent);
-  s += ",\"chosen\":";
-  s += std::to_string(rec.chosen);
-  s += ",\"policy\":\"";
-  s += rec.policy;
-  s += "\",\"outcome\":\"";
-  s += to_string(rec.outcome);
-  s += "\",\"reason\":\"";
-  s += to_string(rec.reason);
-  s += "\",\"margin_mdb\":";
-  s += format_milli(rec.margin_db);
-  s += ",\"hyst_remaining_us\":";
-  s += trace::Tracer::format_ts(rec.hysteresis_remaining);
-  s += ",\"candidates\":[";
+  obs::Line line(out_);
+  line.lit("{\"t_us\":")
+      .ts(rec.t)
+      .lit(",\"client\":")
+      .num(rec.client)
+      .lit(",\"incumbent\":")
+      .num(rec.incumbent)
+      .lit(",\"chosen\":")
+      .num(rec.chosen)
+      .lit(",\"policy\":\"")
+      .str(rec.policy)
+      .lit("\",\"outcome\":\"")
+      .str(to_string(rec.outcome))
+      .lit("\",\"reason\":\"")
+      .str(to_string(rec.reason))
+      .lit("\",\"margin_mdb\":")
+      .num(milli(rec.margin_db))
+      .lit(",\"hyst_remaining_us\":")
+      .ts(rec.hysteresis_remaining)
+      .lit(",\"candidates\":[");
   bool first = true;
   for (const DecisionCandidate& c : rec.candidates) {
-    if (!first) s += ',';
+    if (!first) line.ch(',');
     first = false;
-    s += "{\"ap\":";
-    s += std::to_string(c.ap);
-    s += ",\"median_mdb\":";
-    s += format_milli(c.median_db);
-    s += ",\"readings\":";
-    s += std::to_string(c.readings);
-    s += ",\"eligible\":";
-    s += c.eligible ? "true" : "false";
-    s += '}';
+    line.lit("{\"ap\":")
+        .num(c.ap)
+        .lit(",\"median_mdb\":")
+        .num(milli(c.median_db))
+        .lit(",\"readings\":")
+        .num(c.readings)
+        .lit(",\"eligible\":");
+    if (c.eligible) {
+      line.lit("true}");
+    } else {
+      line.lit("false}");
+    }
   }
-  s += "]}\n";
+  line.lit("]}\n");
   ++entries_;
   if (rec.outcome == DecisionOutcome::kSwitch) ++switches_;
 }
 
 void DecisionLog::append_liveness(const LivenessRecord& rec) {
-  std::string& s = out_;
-  s += "{\"t_us\":";
-  s += trace::Tracer::format_ts(rec.t);
-  s += ",\"kind\":\"liveness\",\"ap\":";
-  s += std::to_string(rec.ap);
-  s += ",\"event\":\"";
-  s += rec.event;
-  s += "\",\"flaps\":";
-  s += std::to_string(rec.flaps);
-  s += ",\"quarantine_us\":";
-  s += trace::Tracer::format_ts(rec.quarantine);
-  s += "}\n";
+  obs::Line(out_)
+      .lit("{\"t_us\":")
+      .ts(rec.t)
+      .lit(",\"kind\":\"liveness\",\"ap\":")
+      .num(rec.ap)
+      .lit(",\"event\":\"")
+      .str(rec.event)
+      .lit("\",\"flaps\":")
+      .num(rec.flaps)
+      .lit(",\"quarantine_us\":")
+      .ts(rec.quarantine)
+      .lit("}\n");
   ++liveness_entries_;
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "util/jsonl.h"
 #include "util/time.h"
 
 namespace wgtt::core {
@@ -106,11 +107,14 @@ class DecisionLog {
   std::size_t entries() const { return entries_; }
   std::size_t liveness_entries() const { return liveness_entries_; }
   std::uint64_t switches() const { return switches_; }
-  /// The accumulated JSONL document (one '\n'-terminated object per line).
-  const std::string& jsonl() const { return out_; }
+  /// The accumulated JSONL document (one '\n'-terminated object per line),
+  /// joined into one string: a copy, made once at hand-off.
+  std::string jsonl() const { return out_.str(); }
+  /// Its size in bytes, without joining it.
+  std::size_t jsonl_bytes() const { return out_.size(); }
 
  private:
-  std::string out_;
+  obs::Document out_;
   std::size_t entries_ = 0;
   std::size_t liveness_entries_ = 0;
   std::uint64_t switches_ = 0;  // records with outcome kSwitch

@@ -1,7 +1,5 @@
 #include "net/flight_recorder.h"
 
-#include "util/trace.h"
-
 namespace wgtt::net {
 
 const char* to_string(Hop h) {
@@ -52,9 +50,7 @@ const char* to_string(DropCause c) {
 }
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig cfg)
-    : cfg_(cfg),
-      out_(obs::jsonl_document("wgtt.packets", kPacketLogSchemaVersion,
-                               1 << 16)) {}
+    : cfg_(cfg), out_("wgtt.packets", kPacketLogSchemaVersion) {}
 
 void FlightRecorder::record(std::uint64_t uid, Time t, Hop hop, NodeId node,
                             obs::Fields args) {
@@ -71,22 +67,18 @@ void FlightRecorder::append(std::uint64_t uid, Time t, Hop hop, NodeId node,
   if (!sampled(uid)) return;
   // Hand-rolled serialization with a fixed field order and integer-only
   // number formatting (the decision log's recipe) — every byte deterministic.
-  std::string& s = out_;
-  s += "{\"uid\":";
-  s += std::to_string(uid);
-  s += ",\"t_us\":";
-  s += trace::Tracer::format_ts(t);
-  s += ",\"hop\":\"";
-  s += to_string(hop);
-  s += "\",\"node\":";
-  s += std::to_string(node);
-  obs::append_fields(s, args);
-  if (cause != nullptr) {
-    s += ",\"cause\":\"";
-    s += cause;
-    s += '"';
-  }
-  s += "}\n";
+  obs::Line line(out_);
+  line.lit("{\"uid\":")
+      .num(uid)
+      .lit(",\"t_us\":")
+      .ts(t)
+      .lit(",\"hop\":\"")
+      .str(to_string(hop))
+      .lit("\",\"node\":")
+      .num(node)
+      .fields(args);
+  if (cause != nullptr) line.lit(",\"cause\":\"").str(cause).ch('"');
+  line.lit("}\n");
   ++records_;
 }
 

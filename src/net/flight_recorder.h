@@ -131,8 +131,11 @@ class FlightRecorder {
   void marker(Time t, Hop hop, NodeId node, obs::Fields args = {});
 
   std::size_t records() const { return records_; }
-  /// The accumulated JSONL document (one '\n'-terminated object per line).
-  const std::string& jsonl() const { return out_; }
+  /// The accumulated JSONL document (one '\n'-terminated object per line),
+  /// joined into one string: a copy, made once at hand-off.
+  std::string jsonl() const { return out_.str(); }
+  /// Its size in bytes, without joining it.
+  std::size_t jsonl_bytes() const { return out_.size(); }
   const FlightRecorderConfig& config() const { return cfg_; }
 
  private:
@@ -140,7 +143,7 @@ class FlightRecorder {
               obs::Fields args, const char* cause);
 
   FlightRecorderConfig cfg_;
-  std::string out_;
+  obs::Document out_;
   std::size_t records_ = 0;
 };
 

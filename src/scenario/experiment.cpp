@@ -155,7 +155,10 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
     const double period_ns = static_cast<double>(tel->period().to_ns());
     for (std::size_t i = 0; i < clients.size(); ++i) {
       const net::NodeId client = clients[i];
-      const std::string prefix = "c" + std::to_string(client);
+      // Appended, not "c" + to_string(): GCC 12 at -O3 reads the operator+
+      // form as an overlapping memcpy (-Wrestrict, a false positive).
+      std::string prefix = "c";
+      prefix += std::to_string(client);
       tel->add_column(prefix + ".ap", 0, [active_lookup, client]() {
         return static_cast<double>(active_lookup(client));
       });

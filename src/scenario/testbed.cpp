@@ -104,10 +104,10 @@ Testbed::Testbed(TestbedConfig cfg)
     health->add_gauge("heap.est_bytes", [this] {
       std::size_t bytes = (packet_pool_.live() + packet_pool_.free_nodes()) *
                           packet_pool_.node_size();
-      if (obs_.recorder) bytes += obs_.recorder->jsonl().size();
-      if (obs_.decisions) bytes += obs_.decisions->jsonl().size();
-      if (obs_.causal) bytes += obs_.causal->jsonl().size();
-      bytes += obs_.health->jsonl().size();
+      if (obs_.recorder) bytes += obs_.recorder->jsonl_bytes();
+      if (obs_.decisions) bytes += obs_.decisions->jsonl_bytes();
+      if (obs_.causal) bytes += obs_.causal->jsonl_bytes();
+      bytes += obs_.health->jsonl_bytes();
       return static_cast<double>(bytes);
     });
     sched_.schedule(cfg_.health_window, [this]() { health_tick(); });

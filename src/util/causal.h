@@ -98,16 +98,20 @@ class CausalTracer {
   std::uint64_t current_event() const;
 
   std::size_t records() const { return records_; }
-  /// The accumulated JSONL document (one '\n'-terminated object per line).
-  const std::string& jsonl() const { return out_; }
+  /// The accumulated JSONL document (one '\n'-terminated object per line),
+  /// joined into one string: a copy, made once at hand-off.
+  std::string jsonl() const { return out_.str(); }
+  /// Its size in bytes, without joining it.
+  std::size_t jsonl_bytes() const { return out_.size(); }
   const CausalTracerConfig& config() const { return cfg_; }
 
  private:
-  void begin_annotation(const char* site);
+  /// The fields every annotation opens with: "ev", "site", "t_us".
+  void begin_annotation(Line& line, const char* site);
 
   CausalTracerConfig cfg_;
   const sim::Scheduler* sched_ = nullptr;
-  std::string out_;
+  Document out_;
   std::size_t records_ = 0;
 };
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/jsonl.h"
-#include "util/trace.h"
 
 namespace wgtt::obs {
 
@@ -13,22 +11,25 @@ namespace {
 /// Fixed-point rendering with exactly 3 decimals, computed with integer
 /// arithmetic (llround of the scaled value) — deterministic across
 /// platforms, unlike printf's shortest-round-trip formats.
-std::string format_fixed3(double v) {
-  if (!std::isfinite(v)) return "0.000";
+void put_fixed3(Line& line, double v) {
+  if (!std::isfinite(v)) {
+    line.lit("0.000");
+    return;
+  }
   const bool neg = v < 0.0;
   const long long scaled = std::llround(std::fabs(v) * 1000.0);
   const long long whole = scaled / 1000;
   const long long frac = scaled % 1000;
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%s%lld.%03lld", neg ? "-" : "", whole,
-                frac);
-  return buf;
+  const int n = std::snprintf(buf, sizeof(buf), "%s%lld.%03lld",
+                              neg ? "-" : "", whole, frac);
+  line.str({buf, static_cast<std::size_t>(n)});
 }
 
-void append_escaped(std::string& out, const std::string& s) {
+void put_escaped(Line& line, std::string_view s) {
   for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    if (c == '"' || c == '\\') line.ch('\\');
+    line.ch(c);
   }
 }
 
@@ -37,10 +38,8 @@ void append_escaped(std::string& out, const std::string& s) {
 HealthEngine::HealthEngine(HealthConfig cfg,
                            const metrics::MetricsRegistry* metrics)
     : cfg_(cfg),
-      out_(jsonl_document("wgtt.health",
-                          cfg.fault_aware ? kHealthSchemaVersionFaultAware
-                                          : kHealthSchemaVersion,
-                          1 << 14)),
+      out_("wgtt.health", cfg.fault_aware ? kHealthSchemaVersionFaultAware
+                                          : kHealthSchemaVersion),
       metrics_(metrics) {
   if (cfg_.ring_capacity == 0) cfg_.ring_capacity = 1;
 }
@@ -54,30 +53,32 @@ void HealthEngine::client_stranded(std::uint32_t client, bool stranded,
     return;
   }
   if (it == open_outages_.end()) return;
-  OutageRecord rec{client, it->second, t, false};
+  close_outage({client, it->second, t, false});
   open_outages_.erase(it);
-  out_ += "{\"kind\":\"outage\",\"client\":";
-  out_ += std::to_string(rec.client);
-  out_ += ",\"begin_us\":";
-  out_ += trace::Tracer::format_ts(rec.begin);
-  out_ += ",\"end_us\":";
-  out_ += trace::Tracer::format_ts(rec.end);
-  out_ += ",\"open\":false}\n";
+}
+
+void HealthEngine::close_outage(const OutageRecord& rec) {
+  Line(out_)
+      .lit("{\"kind\":\"outage\",\"client\":")
+      .num(rec.client)
+      .lit(",\"begin_us\":")
+      .ts(rec.begin)
+      .lit(",\"end_us\":")
+      .ts(rec.end)
+      .str(rec.open ? ",\"open\":true}\n" : ",\"open\":false}\n");
   outages_.push_back(rec);
 }
 
 void HealthEngine::fault_mark(Time t, const char* kind, std::uint32_t node,
                               bool active) {
   if (!cfg_.fault_aware) return;
-  out_ += "{\"kind\":\"fault\",\"t_us\":";
-  out_ += trace::Tracer::format_ts(t);
-  out_ += ",\"fault\":\"";
-  append_escaped(out_, kind);
-  out_ += "\",\"node\":";
-  out_ += std::to_string(node);
-  out_ += ",\"active\":";
-  out_ += active ? "true" : "false";
-  out_ += "}\n";
+  Line line(out_);
+  line.lit("{\"kind\":\"fault\",\"t_us\":").ts(t).lit(",\"fault\":\"");
+  put_escaped(line, kind);
+  line.lit("\",\"node\":")
+      .num(node)
+      .lit(",\"active\":")
+      .str(active ? "true}\n" : "false}\n");
   if (!active) last_fault_clear_ = t;
 }
 
@@ -87,46 +88,48 @@ void HealthEngine::add_gauge(std::string name, std::function<double()> probe,
 }
 
 void HealthEngine::append_window_line(const HealthWindow& w) {
-  out_ += "{\"kind\":\"window\",\"t_us\":";
-  out_ += trace::Tracer::format_ts(w.t);
-  out_ += ",\"sent\":";
-  out_ += std::to_string(w.sent);
-  out_ += ",\"copies\":";
-  out_ += std::to_string(w.copies);
-  out_ += ",\"delivered\":";
-  out_ += std::to_string(w.delivered);
-  out_ += ",\"retired\":";
-  out_ += std::to_string(w.retired);
-  out_ += ",\"dropped\":";
-  out_ += std::to_string(w.dropped);
-  out_ += ",\"in_flight\":";
-  out_ += std::to_string(w.in_flight);
-  out_ += ",\"gauges\":{";
+  Line line(out_);
+  line.lit("{\"kind\":\"window\",\"t_us\":")
+      .ts(w.t)
+      .lit(",\"sent\":")
+      .num(w.sent)
+      .lit(",\"copies\":")
+      .num(w.copies)
+      .lit(",\"delivered\":")
+      .num(w.delivered)
+      .lit(",\"retired\":")
+      .num(w.retired)
+      .lit(",\"dropped\":")
+      .num(w.dropped)
+      .lit(",\"in_flight\":")
+      .num(w.in_flight)
+      .lit(",\"gauges\":{");
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    if (i > 0) out_ += ",";
-    out_ += "\"";
-    append_escaped(out_, gauges_[i].name);
-    out_ += "\":";
-    out_ += format_fixed3(w.gauges[i]);
+    if (i > 0) line.ch(',');
+    line.ch('"');
+    put_escaped(line, gauges_[i].name);
+    line.lit("\":");
+    put_fixed3(line, w.gauges[i]);
   }
-  out_ += "}}\n";
+  line.lit("}}\n");
 }
 
 void HealthEngine::violate(std::string watchdog, std::string severity, Time t,
                            double value, double limit, std::string detail) {
-  out_ += "{\"kind\":\"violation\",\"t_us\":";
-  out_ += trace::Tracer::format_ts(t);
-  out_ += ",\"watchdog\":\"";
-  append_escaped(out_, watchdog);
-  out_ += "\",\"severity\":\"";
-  append_escaped(out_, severity);
-  out_ += "\",\"value\":";
-  out_ += format_fixed3(value);
-  out_ += ",\"limit\":";
-  out_ += format_fixed3(limit);
-  out_ += ",\"detail\":\"";
-  append_escaped(out_, detail);
-  out_ += "\"}\n";
+  Line line(out_);
+  line.lit("{\"kind\":\"violation\",\"t_us\":")
+      .ts(t)
+      .lit(",\"watchdog\":\"");
+  put_escaped(line, watchdog);
+  line.lit("\",\"severity\":\"");
+  put_escaped(line, severity);
+  line.lit("\",\"value\":");
+  put_fixed3(line, value);
+  line.lit(",\"limit\":");
+  put_fixed3(line, limit);
+  line.lit(",\"detail\":\"");
+  put_escaped(line, detail);
+  line.lit("\"}\n");
   violations_.push_back({std::move(watchdog), std::move(severity), t, value,
                          limit, std::move(detail)});
 }
@@ -222,45 +225,38 @@ void HealthEngine::finalize(Time t) {
   // Flush still-open outages: a client stranded at teardown is exactly what
   // the convergence gate must see, so each one becomes an open=true record.
   for (const auto& [client, begin] : open_outages_) {
-    OutageRecord rec{client, begin, t, true};
-    out_ += "{\"kind\":\"outage\",\"client\":";
-    out_ += std::to_string(rec.client);
-    out_ += ",\"begin_us\":";
-    out_ += trace::Tracer::format_ts(rec.begin);
-    out_ += ",\"end_us\":";
-    out_ += trace::Tracer::format_ts(rec.end);
-    out_ += ",\"open\":true}\n";
-    outages_.push_back(rec);
+    close_outage({client, begin, t, true});
   }
   const std::size_t unconverged = open_outages_.size();
   open_outages_.clear();
-  out_ += "{\"kind\":\"summary\",\"t_us\":";
-  out_ += trace::Tracer::format_ts(t);
-  out_ += ",\"windows\":";
-  out_ += std::to_string(windows_closed_);
-  out_ += ",\"checks\":";
-  out_ += std::to_string(checks_);
-  out_ += ",\"violations\":";
-  out_ += std::to_string(violations_.size());
-  out_ += ",\"sent\":";
-  out_ += std::to_string(sent_);
-  out_ += ",\"copies\":";
-  out_ += std::to_string(copies_);
-  out_ += ",\"delivered\":";
-  out_ += std::to_string(delivered_);
-  out_ += ",\"retired\":";
-  out_ += std::to_string(retired_);
-  out_ += ",\"dropped\":";
-  out_ += std::to_string(dropped_);
-  out_ += ",\"in_flight\":";
-  out_ += std::to_string(in_flight());
+  Line line(out_);
+  line.lit("{\"kind\":\"summary\",\"t_us\":")
+      .ts(t)
+      .lit(",\"windows\":")
+      .num(windows_closed_)
+      .lit(",\"checks\":")
+      .num(checks_)
+      .lit(",\"violations\":")
+      .num(violations_.size())
+      .lit(",\"sent\":")
+      .num(sent_)
+      .lit(",\"copies\":")
+      .num(copies_)
+      .lit(",\"delivered\":")
+      .num(delivered_)
+      .lit(",\"retired\":")
+      .num(retired_)
+      .lit(",\"dropped\":")
+      .num(dropped_)
+      .lit(",\"in_flight\":")
+      .num(in_flight());
   if (cfg_.fault_aware) {
-    out_ += ",\"outages\":";
-    out_ += std::to_string(outages_.size());
-    out_ += ",\"unconverged\":";
-    out_ += std::to_string(unconverged);
+    line.lit(",\"outages\":")
+        .num(outages_.size())
+        .lit(",\"unconverged\":")
+        .num(unconverged);
   }
-  out_ += "}\n";
+  line.lit("}\n");
 }
 
 std::vector<HealthWindow> HealthEngine::windows() const {

@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "util/jsonl.h"
 #include "util/metrics.h"
 #include "util/time.h"
 
@@ -177,8 +178,11 @@ class HealthEngine {
   std::size_t open_outages() const { return open_outages_.size(); }
   /// Time of the last fault *clear* edge seen (Time() if none).
   Time last_fault_clear() const { return last_fault_clear_; }
-  /// The accumulated JSONL document, starting with the schema header line.
-  const std::string& jsonl() const { return out_; }
+  /// The accumulated JSONL document, starting with the schema header line,
+  /// joined into one string: a copy, made once at hand-off.
+  std::string jsonl() const { return out_.str(); }
+  /// Its size in bytes, without joining it.
+  std::size_t jsonl_bytes() const { return out_.size(); }
   const HealthConfig& config() const { return cfg_; }
 
  private:
@@ -192,6 +196,8 @@ class HealthEngine {
   void violate(std::string watchdog, std::string severity, Time t,
                double value, double limit, std::string detail);
   void append_window_line(const HealthWindow& w);
+  /// Record a closed outage and write its {"kind":"outage"} line.
+  void close_outage(const OutageRecord& rec);
 
   HealthConfig cfg_;
   std::uint64_t sent_ = 0;
@@ -205,7 +211,7 @@ class HealthEngine {
   std::size_t windows_closed_ = 0;
   std::vector<HealthViolation> violations_;
   std::uint64_t checks_ = 0;
-  std::string out_;
+  Document out_;
   bool finalized_ = false;
   // Previous window's metrics-counter values for the monotone watchdog and
   // the liveness-FSM sanity check.

@@ -16,25 +16,45 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-std::string jsonl_document(const char* stream, int version,
-                           std::size_t reserve) {
+Document::Document(const char* stream, int version) {
+  pos_ = add_block();
+  Line(*this)
+      .lit("{\"kind\":\"schema\",\"stream\":\"")
+      .str(stream)
+      .lit("\",\"version\":")
+      .num(version)
+      .lit("}\n");
+}
+
+char* Document::add_block() {
+  blocks_.push_back(std::make_unique_for_overwrite<char[]>(kBlockBytes));
+  char* block = blocks_.back().get();
+  end_ = block + kBlockBytes;
+  return block;
+}
+
+std::string Document::str() const {
   std::string out;
-  out.reserve(reserve);
-  out += "{\"kind\":\"schema\",\"stream\":\"";
-  out += stream;
-  out += "\",\"version\":";
-  out += std::to_string(version);
-  out += "}\n";
+  out.reserve(size());
+  for (std::size_t i = 0; i + 1 < blocks_.size(); ++i) {
+    out.append(blocks_[i].get(), kBlockBytes);
+  }
+  const char* last = blocks_.back().get();
+  out.append(last, static_cast<std::size_t>(pos_ - last));
   return out;
 }
 
-void append_fields(std::string& out, Fields fields) {
-  for (const Field& f : fields) {
-    out += ",\"";
-    out += f.key;
-    out += "\":";
-    out += std::to_string(f.value);
+void Line::spill(const char* s, std::size_t n) {
+  while (n > room()) {
+    const std::size_t fill = room();
+    std::memcpy(pos_, s, fill);
+    s += fill;
+    n -= fill;
+    pos_ = doc_.add_block();
+    end_ = doc_.end_;
   }
+  std::memcpy(pos_, s, n);
+  pos_ += n;
 }
 
 bool uid_sampled(std::uint64_t uid, std::uint64_t seed, std::uint32_t sample) {

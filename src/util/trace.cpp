@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/jsonl.h"
+
 namespace wgtt::trace {
 
 Tracer::Tracer() {
@@ -11,16 +13,8 @@ Tracer::Tracer() {
 }
 
 std::string Tracer::format_ts(Time t) {
-  std::int64_t ns = t.to_ns();
-  assert(ns >= 0 && "trace timestamps are sim times, never negative");
-  const std::int64_t us = ns / 1000;
-  const std::int64_t frac = ns % 1000;
-  std::string out = std::to_string(us);
-  out += '.';
-  out += static_cast<char>('0' + frac / 100);
-  out += static_cast<char>('0' + (frac / 10) % 10);
-  out += static_cast<char>('0' + frac % 10);
-  return out;
+  char buf[obs::kTsChars];
+  return std::string(buf, obs::write_ts(buf, t));
 }
 
 void Tracer::begin_event(char ph, std::string_view cat, std::string_view name,

@@ -62,7 +62,7 @@ class Tracer {
   const std::string& finish();
 
   /// Format a sim time as a Chrome-trace "ts" value: microseconds with three
-  /// decimals, derived purely from integer arithmetic.
+  /// decimals, derived purely from integer arithmetic (obs::write_ts).
   static std::string format_ts(Time t);
 
  private:

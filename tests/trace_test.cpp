@@ -13,12 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/handoff_policy.h"
 #include "obs/context.h"
@@ -27,6 +30,7 @@
 #include "scenario/sweep.h"
 #include "sim/fault_plan.h"
 #include "util/json.h"
+#include "util/jsonl.h"
 #include "util/profiler.h"
 #include "util/sha256.h"
 #include "util/trace.h"
@@ -66,26 +70,126 @@ std::string run_golden_drive(const std::string& path) {
   return trace;
 }
 
+struct TsCase {
+  Time t;
+  const char* want;
+};
+
+const TsCase kTsCases[] = {
+    {Time::zero(), "0.000"},
+    {Time::ns(1), "0.001"},
+    {Time::us(1), "1.000"},
+    {Time::ns(1'234'567), "1234.567"},
+    {Time::sec(3), "3000000.000"},
+};
+
+// Multi-hour simulated timestamps sit far past double's 2^53 ns mantissa
+// range; the integer formatter must not lose the sub-microsecond digits.
+const TsCase kSoakTsCases[] = {
+    {Time::sec(3600), "3600000000.000"},
+    {Time::sec(8 * 3600), "28800000000.000"},
+    {Time::sec(24 * 3600) + Time::ns(1), "86400000000.001"},
+    {Time::sec(7 * 24 * 3600) + Time::ns(999), "604800000000.999"},
+    // ~106 simulated days, near the int64 microsecond scale used by reports.
+    {Time::ns(9'216'000'000'000'000), "9216000000000.000"},
+};
+
 TEST(TracerTest, FormatTsIsPureIntegerMath) {
-  EXPECT_EQ(trace::Tracer::format_ts(Time::zero()), "0.000");
-  EXPECT_EQ(trace::Tracer::format_ts(Time::ns(1)), "0.001");
-  EXPECT_EQ(trace::Tracer::format_ts(Time::us(1)), "1.000");
-  EXPECT_EQ(trace::Tracer::format_ts(Time::ns(1'234'567)), "1234.567");
-  EXPECT_EQ(trace::Tracer::format_ts(Time::sec(3)), "3000000.000");
+  for (const TsCase& c : kTsCases) {
+    EXPECT_EQ(trace::Tracer::format_ts(c.t), c.want);
+  }
 }
 
 TEST(TracerTest, FormatTsStaysExactAtSoakHorizons) {
-  // Multi-hour simulated timestamps sit far past double's 2^53 ns mantissa
-  // range; the integer formatter must not lose the sub-microsecond digits.
-  EXPECT_EQ(trace::Tracer::format_ts(Time::sec(3600)), "3600000000.000");
-  EXPECT_EQ(trace::Tracer::format_ts(Time::sec(8 * 3600)), "28800000000.000");
-  EXPECT_EQ(trace::Tracer::format_ts(Time::sec(24 * 3600) + Time::ns(1)),
-            "86400000000.001");
-  EXPECT_EQ(trace::Tracer::format_ts(Time::sec(7 * 24 * 3600) + Time::ns(999)),
-            "604800000000.999");
-  // ~106 simulated days, near the int64 microsecond scale used by reports.
-  EXPECT_EQ(trace::Tracer::format_ts(Time::ns(9'216'000'000'000'000)),
-            "9216000000000.000");
+  for (const TsCase& c : kSoakTsCases) {
+    EXPECT_EQ(trace::Tracer::format_ts(c.t), c.want);
+  }
+}
+
+// The bytes `write` puts through one obs::Line, after a fresh document's
+// schema header.
+template <class Write>
+std::string line_bytes(Write write) {
+  obs::Document doc("wgtt.test", 1);
+  const std::size_t header = doc.size();
+  {
+    obs::Line line(doc);
+    write(line);
+  }
+  return doc.str().substr(header);
+}
+
+TEST(JsonlLineTest, IntegersMatchToString) {
+  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{1},
+                               std::int64_t{-1}, INT64_MIN, INT64_MAX}) {
+    EXPECT_EQ(line_bytes([v](obs::Line& l) { l.num(v); }), std::to_string(v));
+  }
+  EXPECT_EQ(line_bytes([](obs::Line& l) { l.num(UINT64_MAX); }),
+            std::to_string(UINT64_MAX));
+}
+
+TEST(JsonlLineTest, TimestampsMatchTheTracerFormat) {
+  for (const TsCase& c : kTsCases) {
+    EXPECT_EQ(line_bytes([&c](obs::Line& l) { l.ts(c.t); }), c.want);
+  }
+  for (const TsCase& c : kSoakTsCases) {
+    EXPECT_EQ(line_bytes([&c](obs::Line& l) { l.ts(c.t); }), c.want);
+  }
+}
+
+TEST(JsonlDocumentTest, HeaderOnlyDocumentIsItsSchemaLine) {
+  const obs::Document doc("wgtt.packets", 1);
+  const std::string header =
+      "{\"kind\":\"schema\",\"stream\":\"wgtt.packets\",\"version\":1}\n";
+  EXPECT_EQ(doc.str(), header);
+  EXPECT_EQ(doc.size(), header.size());
+}
+
+TEST(JsonlDocumentTest, JoinsAcrossBlockBoundariesToTheContiguousBytes) {
+  constexpr std::size_t kBlock = obs::Document::kBlockBytes;
+  obs::Document doc("wgtt.test", 1);
+  std::string want = doc.str();
+  // Every element kind, each started at every distance from the end of a
+  // block up to the longest rendering, so each one straddles a boundary at
+  // every split point.
+  const std::string longer(kBlock + 100, 'z');  // outgrows any block's room
+  const std::vector<std::pair<std::string, void (*)(obs::Line&)>> kinds = {
+      {"-9223372036854775808", [](obs::Line& l) { l.num(INT64_MIN); }},
+      {"18446744073709551615", [](obs::Line& l) { l.num(UINT64_MAX); }},
+      {"604800000000.999",
+       [](obs::Line& l) {
+         l.ts(Time::sec(7 * 24 * 3600) + Time::ns(999));
+       }},
+      {"{\"ev\":", [](obs::Line& l) { l.lit("{\"ev\":"); }},
+      {"ap_enqueue", [](obs::Line& l) { l.str("ap_enqueue"); }},
+      {"\n", [](obs::Line& l) { l.ch('\n'); }},
+      {",\"ap\":3,\"index\":-12",
+       [](obs::Line& l) { l.fields({{"ap", 3}, {"index", -12}}); }},
+  };
+  for (const auto& [bytes, write] : kinds) {
+    for (std::size_t gap = 0; gap <= 24; ++gap) {
+      // Pad the current block so exactly `gap` bytes of it remain.
+      const std::size_t room = (kBlock - doc.size() % kBlock) % kBlock;
+      const std::string pad((room + kBlock - gap) % kBlock, 'x');
+      {
+        obs::Line line(doc);
+        line.str(pad);
+        write(line);
+      }
+      want += pad;
+      want += bytes;
+      ASSERT_EQ(doc.size(), want.size()) << bytes << " at gap " << gap;
+    }
+  }
+  {
+    obs::Line line(doc);
+    line.str(longer).lit("}\n");
+  }
+  want += longer;
+  want += "}\n";
+  EXPECT_EQ(doc.size(), want.size());
+  EXPECT_GE(doc.size() / kBlock, 3u);
+  EXPECT_EQ(doc.str(), want);
 }
 
 TEST(TracerTest, EmitsWellFormedChromeTraceDocument) {
