@@ -19,31 +19,6 @@ Histogram::Histogram(std::vector<double> upper_bounds)
   assert(std::is_sorted(bounds_.begin(), bounds_.end()));
 }
 
-namespace {
-
-/// Saturating add: histogram bucket / sample counts must stay monotone at
-/// soak horizons instead of wrapping (same contract as Counter::add).
-inline std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t v = a + b;
-  return v < a ? ~std::uint64_t{0} : v;
-}
-
-}  // namespace
-
-void Histogram::record(double x) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  auto& bucket = buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  bucket = sat_add(bucket, 1);
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-  count_ = sat_add(count_, 1);
-  sum_ += x;
-}
-
 double Histogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

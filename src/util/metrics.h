@@ -11,6 +11,7 @@
 // snapshots and their JSON serialization are deterministic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -65,7 +66,20 @@ class Histogram {
   /// to the single overflow bucket (quantiles interpolate over [min, max]).
   explicit Histogram(std::vector<double> upper_bounds);
 
-  void record(double x);
+  /// Inline: the scheduler records its queue depth on every dispatch.
+  void record(double x) {
+    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
+    auto& bucket = buckets_[static_cast<std::size_t>(it - bounds_.begin())];
+    bucket = sat_add(bucket, 1);
+    if (count_ == 0) {
+      min_ = max_ = x;
+    } else {
+      if (x < min_) min_ = x;
+      if (x > max_) max_ = x;
+    }
+    count_ = sat_add(count_, 1);
+    sum_ += x;
+  }
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -89,6 +103,13 @@ class Histogram {
   void merge(const Histogram& other);
 
  private:
+  /// Saturating add: bucket and sample counts must stay monotone at soak
+  /// horizons instead of wrapping (same contract as Counter::add).
+  static std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+    const std::uint64_t v = a + b;
+    return v < a ? ~std::uint64_t{0} : v;
+  }
+
   std::vector<double> bounds_;
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
