@@ -164,7 +164,9 @@ TEST(FaultPlanTest, ChaosIsSeededDeterministicAndBounded) {
   // Events are time-sorted, land inside the middle of the horizon, and only
   // name real APs.
   for (std::size_t i = 0; i < a.events.size(); ++i) {
-    if (i > 0) EXPECT_GE(a.events[i].at, a.events[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(a.events[i].at, a.events[i - 1].at);
+    }
     EXPECT_GE(a.events[i].at, horizon * 0.15);
     EXPECT_LE(a.events[i].at, horizon * 0.85);
     EXPECT_GE(a.events[i].node, 1u);

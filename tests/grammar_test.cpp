@@ -463,7 +463,9 @@ TEST(FaultPlanGrammar, ControlChaosGeneratorHonoursKindMask) {
     ASSERT_FALSE(plan.empty());
     for (const sim::FaultEvent& ev : plan.events) {
       EXPECT_EQ(ev.kind, mc.want);
-      if (ev.kind == FaultKind::kCtrlCrash) EXPECT_EQ(ev.node, 0u);
+      if (ev.kind == FaultKind::kCtrlCrash) {
+        EXPECT_EQ(ev.node, 0u);
+      }
       EXPECT_GE(ev.at.to_ns(), (horizon * 0.10).to_ns());
       EXPECT_LE(ev.at.to_ns(), (horizon * 0.75).to_ns());
       EXPECT_GT(ev.duration.to_ns(), 0);
