@@ -4,18 +4,6 @@
 
 namespace wgtt::obs {
 
-namespace {
-
-// splitmix64 finalizer: cheap, well-mixed uid hash for the sampler.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 Document::Document(const char* stream, int version) {
   pos_ = add_block();
   Line(*this)
@@ -55,11 +43,6 @@ void Line::spill(const char* s, std::size_t n) {
   }
   std::memcpy(pos_, s, n);
   pos_ += n;
-}
-
-bool uid_sampled(std::uint64_t uid, std::uint64_t seed, std::uint32_t sample) {
-  if (uid == 0 || sample <= 1) return true;
-  return mix64(uid ^ seed) % sample == 0;
 }
 
 bool read_jsonl(std::string_view document,

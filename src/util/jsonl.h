@@ -188,11 +188,23 @@ class Line {
   char* end_;
 };
 
+/// splitmix64 finalizer: cheap, well-mixed uid hash for the sampler.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Seeded uid-hash sampler of the packet log and the causal stream: keeps
 /// 1-in-`sample` uids, deterministic for a fixed (seed, sample) and
 /// independent of arrival order, so at equal settings both streams cover the
 /// same packets.  uid 0 (markers) always passes.
-bool uid_sampled(std::uint64_t uid, std::uint64_t seed, std::uint32_t sample);
+inline bool uid_sampled(std::uint64_t uid, std::uint64_t seed,
+                        std::uint32_t sample) {
+  if (uid == 0 || sample <= 1) return true;
+  return mix64(uid ^ seed) % sample == 0;
+}
 
 /// Read a stream document back: skips blank lines, parses every other line
 /// as a JSON object and hands it to `on_record` in order, the schema header
