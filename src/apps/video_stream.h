@@ -41,9 +41,6 @@ class VideoStreamApp {
     if (observation <= Time::zero()) return 0.0;
     return stalled_ / observation;
   }
-  double buffered_seconds() const {
-    return static_cast<double>(buffer_bytes_) * 8.0 / cfg_.video_bitrate_bps;
-  }
 
  private:
   void on_bytes(std::size_t bytes, Time when);

@@ -79,7 +79,6 @@ void HealthEngine::fault_mark(Time t, const char* kind, std::uint32_t node,
       .num(node)
       .lit(",\"active\":")
       .str(active ? "true}\n" : "false}\n");
-  if (!active) last_fault_clear_ = t;
 }
 
 void HealthEngine::add_gauge(std::string name, std::function<double()> probe,

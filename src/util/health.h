@@ -176,8 +176,6 @@ class HealthEngine {
   const std::vector<OutageRecord>& outages() const { return outages_; }
   /// Clients stranded right now (open outage windows).
   std::size_t open_outages() const { return open_outages_.size(); }
-  /// Time of the last fault *clear* edge seen (Time() if none).
-  Time last_fault_clear() const { return last_fault_clear_; }
   /// The accumulated JSONL document, starting with the schema header line,
   /// joined into one string: a copy, made once at hand-off.
   std::string jsonl() const { return out_.str(); }
@@ -220,7 +218,6 @@ class HealthEngine {
   // Fault-tolerance ledger (only touched when cfg_.fault_aware).
   std::map<std::uint32_t, Time> open_outages_;  // client -> outage begin
   std::vector<OutageRecord> outages_;
-  Time last_fault_clear_;
 };
 
 }  // namespace wgtt::obs
