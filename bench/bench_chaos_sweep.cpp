@@ -54,12 +54,14 @@ int main(int argc, char** argv) {
     }
   }
   args.apply_policy(configs);
-  args.apply_outputs(configs.front(), "chaos_sweep");
+  const bench::Outputs outputs =
+      args.apply_outputs(configs.front(), "chaos_sweep");
 
   const scenario::SweepRunner runner(args.sweep);
   std::printf("running %zu drives on %zu threads...\n", configs.size(),
               runner.jobs());
   const scenario::SweepOutcome outcome = runner.run(configs);
+  outputs.write(outcome.runs.front().result);
 
   scenario::SweepReport report;
   report.bench_id = "chaos_sweep";

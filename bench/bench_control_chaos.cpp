@@ -77,12 +77,14 @@ int main(int argc, char** argv) {
     }
   }
   args.apply_policy(configs);
-  args.apply_outputs(configs.front(), "control_chaos");
+  const bench::Outputs outputs =
+      args.apply_outputs(configs.front(), "control_chaos");
 
   const scenario::SweepRunner runner(args.sweep);
   std::printf("running %zu drives on %zu threads...\n", configs.size(),
               runner.jobs());
   const scenario::SweepOutcome outcome = runner.run(configs);
+  outputs.write(outcome.runs.front().result);
 
   scenario::SweepReport report;
   report.bench_id = "control_chaos";

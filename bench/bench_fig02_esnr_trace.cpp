@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
   tb.seed = 3;
   tb.enable_telemetry = true;
   tb.telemetry_period = Time::ms(1);
+  std::string csv_path;
   if (args.telemetry) {
-    tb.telemetry_path = bench::claim_output_path(
+    csv_path = bench::claim_output_path(
         args.telemetry_path.empty() ? "TELEMETRY_fig02_esnr_trace.csv"
                                     : args.telemetry_path,
         args.force, "telemetry");
@@ -65,6 +66,7 @@ int main(int argc, char** argv) {
   });
   tel->start();
   bed.sched().run_until(Time::ms(3001));
+  if (!csv_path.empty()) bench::write_output(csv_path, tel->to_csv());
 
   const scenario::TelemetryTable& table = tel->table();
   const std::size_t col_e1 = table.column_index("esnr_ap1");

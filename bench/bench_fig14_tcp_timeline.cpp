@@ -49,10 +49,13 @@ void print_run(const char* name, scenario::SystemType sys,
   cfg.seed = 42;
   cfg.testbed.enable_telemetry = true;
   cfg.testbed.telemetry_period = Time::ms(500);
-  cfg.testbed.telemetry_path = telemetry_path;
-  cfg.testbed.packet_log_path = packets_path;
+  cfg.testbed.enable_packet_log = !packets_path.empty();
   cfg.testbed.packet_sample = packet_sample;
   auto r = scenario::run_drive(cfg);
+  if (!telemetry_path.empty()) {
+    bench::write_output(telemetry_path, r.telemetry.to_csv());
+  }
+  if (!packets_path.empty()) bench::write_output(packets_path, r.packet_jsonl);
   const auto& c = r.clients.front();
 
   std::printf("\n--- %s ---\n", name);

@@ -48,8 +48,10 @@ void print_run(const char* name, scenario::SystemType sys,
   cfg.seed = 42;
   cfg.testbed.enable_telemetry = true;
   cfg.testbed.telemetry_period = Time::ms(500);
-  cfg.testbed.telemetry_path = telemetry_path;
   auto r = scenario::run_drive(cfg);
+  if (!telemetry_path.empty()) {
+    bench::write_output(telemetry_path, r.telemetry.to_csv());
+  }
   const auto& c = r.clients.front();
 
   std::printf("\n--- %s ---\n", name);

@@ -58,10 +58,12 @@ int main(int argc, char** argv) {
     configs.push_back(cfg);
   }
   args.apply_policy(configs);
-  args.apply_outputs(configs.front(), "fig16_bitrate_cdf");
+  const bench::Outputs outputs =
+      args.apply_outputs(configs.front(), "fig16_bitrate_cdf");
 
   const scenario::SweepRunner runner(args.sweep);
   const scenario::SweepOutcome outcome = runner.run(configs);
+  outputs.write(outcome.runs.front().result);
 
   scenario::SweepReport report;
   report.bench_id = "fig16_bitrate_cdf";

@@ -34,10 +34,10 @@ struct TraceSample {
 };
 
 std::vector<TraceSample> record_trace(std::uint64_t seed,
-                                      std::string trace_path = {}) {
+                                      const std::string& trace_path = {}) {
   scenario::TestbedConfig tb;
   tb.seed = seed;
-  tb.trace_path = std::move(trace_path);
+  tb.enable_trace = !trace_path.empty();
   scenario::Testbed bed(tb);
   scenario::WgttNetwork net(bed);
   const net::NodeId client =
@@ -56,6 +56,9 @@ std::vector<TraceSample> record_trace(std::uint64_t seed,
           phy::selection_esnr_db(bed.channel().uplink_csi(ap, client, t));
     }
     trace.push_back(std::move(s));
+  }
+  if (trace::Tracer* tracer = bed.obs().tracer) {
+    bench::write_output(trace_path, tracer->finish());
   }
   return trace;
 }

@@ -35,10 +35,12 @@ int main(int argc, char** argv) {
     }
   }
   args.apply_policy(configs);
-  args.apply_outputs(configs.front(), "fig22_hysteresis");
+  const bench::Outputs outputs =
+      args.apply_outputs(configs.front(), "fig22_hysteresis");
 
   const scenario::SweepRunner runner(args.sweep);
   const scenario::SweepOutcome outcome = runner.run(configs);
+  outputs.write(outcome.runs.front().result);
 
   scenario::SweepReport report;
   report.bench_id = "fig22_hysteresis";

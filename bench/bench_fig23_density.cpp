@@ -59,10 +59,12 @@ int main(int argc, char** argv) {
     }
   }
   args.apply_policy(configs);
-  args.apply_outputs(configs.front(), "fig23_density");
+  const bench::Outputs outputs =
+      args.apply_outputs(configs.front(), "fig23_density");
 
   const scenario::SweepRunner runner(args.sweep);
   const scenario::SweepOutcome outcome = runner.run(configs);
+  outputs.write(outcome.runs.front().result);
 
   scenario::SweepReport report;
   report.bench_id = "fig23_density";

@@ -114,12 +114,14 @@ int main(int argc, char** argv) {
       labels.emplace_back(label);
     }
   }
-  args.apply_outputs(configs.front(), "policy_tournament");
+  const bench::Outputs outputs =
+      args.apply_outputs(configs.front(), "policy_tournament");
 
   const scenario::SweepRunner runner(args.sweep);
   std::printf("running %zu drives on %zu threads...\n", configs.size(),
               runner.jobs());
   const scenario::SweepOutcome outcome = runner.run(configs);
+  outputs.write(outcome.runs.front().result);
 
   scenario::SweepReport report;
   report.bench_id = "policy_tournament";

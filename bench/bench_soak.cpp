@@ -72,12 +72,13 @@ int main(int argc, char** argv) {
 
   std::vector<scenario::DriveScenarioConfig> configs{cfg};
   args.apply_policy(configs);
-  args.apply_outputs(configs.front(), "soak");
+  const bench::Outputs outputs = args.apply_outputs(configs.front(), "soak");
 
   const scenario::SweepRunner runner(args.sweep);
   std::printf("running %.0f simulated minutes (%zu faults scheduled)...\n",
               sim_minutes, configs.front().testbed.faults.events.size());
   const scenario::SweepOutcome outcome = runner.run(configs);
+  outputs.write(outcome.runs.front().result);
   const scenario::SweepRun& run = outcome.runs.front();
 
   scenario::SweepReport report;

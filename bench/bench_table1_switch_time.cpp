@@ -38,10 +38,12 @@ int main(int argc, char** argv) {
     configs.push_back(cfg);
   }
   args.apply_policy(configs);
-  args.apply_outputs(configs.front(), "table1_switch_time");
+  const bench::Outputs outputs =
+      args.apply_outputs(configs.front(), "table1_switch_time");
 
   const scenario::SweepRunner runner(args.sweep);
   const scenario::SweepOutcome outcome = runner.run(configs);
+  outputs.write(outcome.runs.front().result);
 
   scenario::SweepReport report;
   report.bench_id = "table1_switch_time";

@@ -10,12 +10,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/handoff_policy.h"
 #include "scenario/report.h"
 #include "scenario/sweep.h"
 #include "sim/fault_plan.h"
+#include "util/json.h"
 
 namespace wgtt::bench {
 
@@ -57,11 +59,27 @@ inline std::string claim_output_path(const std::string& path, bool force,
   return path;
 }
 
+/// Write one bench output file, warning on stderr if the write fails.
+inline void write_output(const std::string& path, const std::string& bytes) {
+  if (!write_text_file(path, bytes)) {
+    std::fprintf(stderr, "warning: failed to write %s\n", path.c_str());
+  }
+}
+
+struct OutputOpt;
+
+/// The output files apply_outputs claimed for a bench's first run, each
+/// with the stream it receives.  write() fills them from that run's result.
+struct Outputs {
+  std::vector<std::pair<const OutputOpt*, std::string>> files;
+  void write(const scenario::DriveResult& result) const;
+};
+
 /// Command-line options shared by the sweep-shaped benches.  The optional
 /// per-run output artifacts (--trace/--telemetry/--decisions/--packets/
-/// --health) are described once in kOutputOpts below — the parser, the
-/// config application, and the --help text all iterate that table, so a new
-/// artifact is one table row plus its fields here.
+/// --health/--causal) are described once in kOutputOpts below — the parser,
+/// the config application, the file writes and the --help text all iterate
+/// that table, so a new artifact is one table row plus its fields here.
 struct BenchArgs {
   scenario::SweepOptions sweep;  // --jobs N / -j N (0 = env/hardware default)
   /// --trace [PATH]: write a Chrome trace-event JSON of the first run.
@@ -124,17 +142,21 @@ struct BenchArgs {
     if (policy_set) cfg.wgtt.controller.policy = policy;
   }
 
-  /// Apply the requested output artifacts (kOutputOpts) to the config of
+  /// Turn on the requested output artifacts (kOutputOpts) in the config of
   /// one run (benches instrument the first simulation of their sweep;
-  /// instrumenting every run would just overwrite one file per worker).
-  /// Exits with an error if a target file exists and --force was not given.
+  /// instrumenting every run would just overwrite one file per worker) and
+  /// claim their files, to be written from that run's result.  Exits with
+  /// an error if a target file exists and --force was not given.
   template <typename DriveConfig>
-  void apply_outputs(DriveConfig& cfg, const std::string& bench_id) const;
+  [[nodiscard]] Outputs apply_outputs(DriveConfig& cfg,
+                                      const std::string& bench_id) const;
 };
 
 /// One optional per-run output artifact: where its flag parses into
-/// BenchArgs and which TestbedConfig path it sets.  parse_args,
-/// BenchArgs::apply_outputs, and the --help text all walk this table.
+/// BenchArgs, which TestbedConfig flag turns its stream on, and how its
+/// bytes are read from the run's DriveResult.  parse_args,
+/// BenchArgs::apply_outputs, Outputs::write and the --help text all walk
+/// this table.
 struct OutputOpt {
   const char* flag;            // "--trace"
   const char* what;            // claim_output_path label
@@ -142,45 +164,59 @@ struct OutputOpt {
   const char* default_suffix;  // ".json"
   bool BenchArgs::*enabled;
   std::string BenchArgs::*path;
-  std::string scenario::TestbedConfig::*target;
+  bool scenario::TestbedConfig::*enable;
+  std::string (*stream)(const scenario::DriveResult&);
   const char* help;  // --help description (default-path clause appended)
 };
 
 inline const OutputOpt kOutputOpts[] = {
     {"--trace", "trace", "TRACE_", ".json", &BenchArgs::trace,
-     &BenchArgs::trace_path, &scenario::TestbedConfig::trace_path,
+     &BenchArgs::trace_path, &scenario::TestbedConfig::enable_trace,
+     [](const scenario::DriveResult& r) { return r.trace_json; },
      "write a Chrome trace-event JSON (chrome://tracing, Perfetto) of the "
      "bench's first simulation"},
     {"--telemetry", "telemetry", "TELEMETRY_", ".csv", &BenchArgs::telemetry,
-     &BenchArgs::telemetry_path, &scenario::TestbedConfig::telemetry_path,
+     &BenchArgs::telemetry_path, &scenario::TestbedConfig::enable_telemetry,
+     [](const scenario::DriveResult& r) { return r.telemetry.to_csv(); },
      "write the first simulation's telemetry time-series CSV"},
     {"--decisions", "decisions", "DECISIONS_", ".jsonl",
      &BenchArgs::decisions, &BenchArgs::decisions_path,
-     &scenario::TestbedConfig::decision_log_path,
+     &scenario::TestbedConfig::enable_decision_log,
+     [](const scenario::DriveResult& r) { return r.decision_jsonl; },
      "write the first simulation's controller decision audit JSONL"},
     {"--packets", "packets", "PACKETS_", ".jsonl", &BenchArgs::packets,
-     &BenchArgs::packets_path, &scenario::TestbedConfig::packet_log_path,
+     &BenchArgs::packets_path, &scenario::TestbedConfig::enable_packet_log,
+     [](const scenario::DriveResult& r) { return r.packet_jsonl; },
      "write the first simulation's per-packet flight-recorder JSONL"},
     {"--health", "health", "HEALTH_", ".jsonl", &BenchArgs::health,
-     &BenchArgs::health_path, &scenario::TestbedConfig::health_path,
+     &BenchArgs::health_path, &scenario::TestbedConfig::enable_health,
+     [](const scenario::DriveResult& r) { return r.health_jsonl; },
      "write the first simulation's runtime-health JSONL (windowed rollups "
      "+ invariant watchdogs)"},
     {"--causal", "causal", "CAUSAL_", ".jsonl", &BenchArgs::causal,
-     &BenchArgs::causal_path, &scenario::TestbedConfig::causal_path,
+     &BenchArgs::causal_path, &scenario::TestbedConfig::enable_causal,
+     [](const scenario::DriveResult& r) { return r.causal_jsonl; },
      "write the first simulation's causal event-graph JSONL (scheduler "
      "provenance edges + semantic annotations, for wgtt-report "
      "critical-path)"},
 };
 
+inline void Outputs::write(const scenario::DriveResult& result) const {
+  for (const auto& [opt, path] : files) write_output(path, opt->stream(result));
+}
+
 template <typename DriveConfig>
-void BenchArgs::apply_outputs(DriveConfig& cfg,
-                              const std::string& bench_id) const {
+Outputs BenchArgs::apply_outputs(DriveConfig& cfg,
+                                 const std::string& bench_id) const {
+  Outputs outputs;
   for (const OutputOpt& o : kOutputOpts) {
     if (!(this->*o.enabled)) continue;
     const std::string& p = this->*o.path;
-    cfg.testbed.*o.target = claim_output_path(
-        p.empty() ? o.default_prefix + bench_id + o.default_suffix : p,
-        force, o.what);
+    cfg.testbed.*o.enable = true;
+    outputs.files.emplace_back(
+        &o, claim_output_path(
+                p.empty() ? o.default_prefix + bench_id + o.default_suffix : p,
+                force, o.what));
   }
   if (packets) cfg.testbed.packet_sample = packet_sample;
   // The causal tracer samples per-packet annotation sites with the same
@@ -205,6 +241,7 @@ void BenchArgs::apply_outputs(DriveConfig& cfg,
     std::printf("faults:\n%s", plan.describe().c_str());
     cfg.testbed.faults = std::move(plan);
   }
+  return outputs;
 }
 
 inline BenchArgs parse_args(int argc, char** argv) {
@@ -307,8 +344,8 @@ inline BenchArgs parse_args(int argc, char** argv) {
 
 /// Serialize `report` to BENCH_<id>.json and tell the user where it went.
 inline void emit_report(const scenario::SweepReport& report) {
-  const std::string path = report.write();
-  if (path.empty()) {
+  const std::string path = "BENCH_" + report.bench_id + ".json";
+  if (!write_text_file(path, report.to_json())) {
     std::fprintf(stderr, "warning: failed to write bench report for %s\n",
                  report.bench_id.c_str());
     return;

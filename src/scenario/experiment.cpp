@@ -264,6 +264,9 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
   if (const TelemetrySampler* tel = bed.telemetry()) {
     result.telemetry = tel->table();
   }
+  if (trace::Tracer* tracer = bed.obs().tracer) {
+    result.trace_json = tracer->finish();
+  }
   if (const core::DecisionLog* dlog = bed.obs().decisions) {
     result.decision_jsonl = dlog->jsonl();
     result.decision_records = dlog->entries();
@@ -278,8 +281,6 @@ DriveResult run_drive(const DriveScenarioConfig& cfg) {
     result.causal_records = causal->records();
   }
   if (obs::HealthEngine* health = bed.obs().health) {
-    // Idempotent: the Testbed dtor's finalize becomes a no-op, but still
-    // writes cfg.testbed.health_path with the summary included.
     health->finalize(bed.sched().now());
     result.health_jsonl = health->jsonl();
     result.health_windows = health->windows_closed();

@@ -94,31 +94,33 @@ struct DriveResult {
   /// Every instrument the sim recorded (empty when testbed.enable_metrics
   /// is false).  Exported into the bench reports' "metrics" section.
   metrics::Snapshot metrics;
-  /// The sampled telemetry table (empty unless testbed.enable_telemetry /
-  /// telemetry_path is set).  run_drive wires the standard column set:
-  /// per-client active AP, per-(client, AP) median ESNR, instantaneous
-  /// goodput, TCP cwnd/retransmissions or UDP loss, and per-AP backlog.
+  /// The sampled telemetry table (empty unless testbed.enable_telemetry is
+  /// set).  run_drive wires the standard column set: per-client active AP,
+  /// per-(client, AP) median ESNR, instantaneous goodput, TCP
+  /// cwnd/retransmissions or UDP loss, and per-AP backlog.
   TelemetryTable telemetry;
+  /// Chrome trace-event JSON (empty unless testbed.enable_trace is set).
+  std::string trace_json;
   /// Controller decision audit log (JSONL; empty unless
-  /// testbed.enable_decision_log / decision_log_path is set).
+  /// testbed.enable_decision_log is set).
   std::string decision_jsonl;
   std::uint64_t decision_records = 0;
   std::uint64_t decision_switch_records = 0;
   /// Per-packet flight-recorder log (JSONL; empty unless
-  /// testbed.enable_packet_log / packet_log_path is set).
+  /// testbed.enable_packet_log is set).
   std::string packet_jsonl;
   std::uint64_t packet_records = 0;
-  /// Causal event-graph stream (JSONL; empty unless testbed.enable_causal /
-  /// causal_path is set).
+  /// Causal event-graph stream (JSONL; empty unless testbed.enable_causal is
+  /// set).
   std::string causal_jsonl;
   std::uint64_t causal_records = 0;
   /// Host self-time per instrumented section (empty when
   /// testbed.enable_profiler is false).  Exported as the reports' "profile"
   /// block.
   prof::ProfileSnapshot profile;
-  /// Runtime health stream (JSONL; empty unless testbed.enable_health /
-  /// health_path is set).  run_drive finalizes the engine before collecting
-  /// so the summary line is included; the Testbed still writes the file.
+  /// Runtime health stream (JSONL; empty unless testbed.enable_health is
+  /// set).  run_drive finalizes the engine before collecting so the summary
+  /// line is included.
   std::string health_jsonl;
   std::uint64_t health_windows = 0;
   std::uint64_t health_checks = 0;

@@ -118,10 +118,4 @@ std::string SweepReport::to_json() const {
   return w.str() + "\n";
 }
 
-std::string SweepReport::write(std::string path) const {
-  if (path.empty()) path = "BENCH_" + bench_id + ".json";
-  if (!write_text_file(path, to_json())) return {};
-  return path;
-}
-
 }  // namespace wgtt::scenario

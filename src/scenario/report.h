@@ -81,9 +81,6 @@ struct SweepReport {
   }
 
   std::string to_json() const;
-  /// Serialize to `path` (default BENCH_<bench_id>.json in the working
-  /// directory).  Returns the path written, or empty on I/O failure.
-  std::string write(std::string path = {}) const;
 };
 
 }  // namespace wgtt::scenario

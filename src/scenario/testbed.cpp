@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/json.h"
 #include "util/units.h"
 
 namespace wgtt::scenario {
@@ -19,20 +18,20 @@ Testbed::Testbed(TestbedConfig cfg)
       metrics_(cfg_.enable_metrics
                    ? std::make_unique<metrics::MetricsRegistry>()
                    : nullptr),
-      tracer_(cfg_.trace_path.empty() ? nullptr
-                                      : std::make_unique<trace::Tracer>()),
+      tracer_(cfg_.enable_trace ? std::make_unique<trace::Tracer>()
+                                : nullptr),
       profiler_(cfg_.enable_profiler ? std::make_unique<prof::Profiler>()
                                      : nullptr),
-      decision_log_((cfg_.enable_decision_log || !cfg_.decision_log_path.empty())
+      decision_log_(cfg_.enable_decision_log
                         ? std::make_unique<core::DecisionLog>(
                               /*protocol_extensions=*/!cfg_.faults.empty())
                         : nullptr),
       flight_recorder_(
-          (cfg_.enable_packet_log || !cfg_.packet_log_path.empty())
+          cfg_.enable_packet_log
               ? std::make_unique<net::FlightRecorder>(
                     net::FlightRecorderConfig{cfg_.seed, cfg_.packet_sample})
               : nullptr),
-      health_engine_((cfg_.enable_health || !cfg_.health_path.empty())
+      health_engine_(cfg_.enable_health
                          ? std::make_unique<obs::HealthEngine>(
                                obs::HealthConfig{cfg_.health_window,
                                                  /*ring_capacity=*/4096,
@@ -41,7 +40,7 @@ Testbed::Testbed(TestbedConfig cfg)
                                                  !cfg_.faults.empty()},
                                metrics_.get())
                          : nullptr),
-      causal_tracer_((cfg_.enable_causal || !cfg_.causal_path.empty())
+      causal_tracer_(cfg_.enable_causal
                          ? std::make_unique<obs::CausalTracer>(
                                obs::CausalTracerConfig{cfg_.seed,
                                                        cfg_.causal_sample})
@@ -58,7 +57,7 @@ Testbed::Testbed(TestbedConfig cfg)
                                 sched_, cfg_.faults,
                                 Rng(cfg_.seed).fork("faults"))),
       fault_scope_(fault_injector_.get()),
-      telemetry_((cfg_.enable_telemetry || !cfg_.telemetry_path.empty())
+      telemetry_(cfg_.enable_telemetry
                      ? std::make_unique<TelemetrySampler>(sched_,
                                                           cfg_.telemetry_period)
                      : nullptr),
@@ -117,28 +116,6 @@ Testbed::Testbed(TestbedConfig cfg)
 void Testbed::health_tick() {
   obs_.health->on_window_close(sched_.now());
   sched_.schedule(cfg_.health_window, [this]() { health_tick(); });
-}
-
-Testbed::~Testbed() {
-  if (obs_.tracer) write_text_file(cfg_.trace_path, obs_.tracer->finish());
-  if (telemetry_ && !cfg_.telemetry_path.empty()) {
-    write_text_file(cfg_.telemetry_path, telemetry_->to_csv());
-  }
-  if (obs_.decisions && !cfg_.decision_log_path.empty()) {
-    write_text_file(cfg_.decision_log_path, obs_.decisions->jsonl());
-  }
-  if (obs_.recorder && !cfg_.packet_log_path.empty()) {
-    write_text_file(cfg_.packet_log_path, obs_.recorder->jsonl());
-  }
-  if (obs_.causal && !cfg_.causal_path.empty()) {
-    write_text_file(cfg_.causal_path, obs_.causal->jsonl());
-  }
-  if (obs_.health) {
-    obs_.health->finalize(sched_.now());
-    if (!cfg_.health_path.empty()) {
-      write_text_file(cfg_.health_path, obs_.health->jsonl());
-    }
-  }
 }
 
 metrics::Snapshot Testbed::metrics_snapshot() const {

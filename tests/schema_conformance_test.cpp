@@ -94,7 +94,7 @@ TEST_P(SchemaHeaderTest, ReportReadsStreamAndRejectsUnknownVersion) {
   EXPECT_NE(run_report(good), 2)
       << GetParam().subcommand
       << " exited 2 (schema error) on the schema header its own emitter "
-         "wrote, so reader and writer disagree";
+         "wrote, so reader and writer disagree on the stream's record format";
 
   // Bump the header's version far past anything this tool understands: the
   // reader must refuse with the schema exit code rather than guess.

@@ -14,10 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -44,30 +41,20 @@ namespace {
 constexpr char kGoldenTraceSha256[] =
     "83faa7a2e27a813a4981e548320d062dbc09f3d66a4fc0e08646920f4fea67ba";
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 /// The pinned scenario: a short fixed-seed WGTT drive through the testbed.
-scenario::DriveScenarioConfig golden_config(std::string trace_path) {
+scenario::DriveScenarioConfig golden_config(bool trace = false) {
   scenario::DriveScenarioConfig cfg;
   cfg.system = scenario::SystemType::kWgtt;
   cfg.traffic = scenario::TrafficType::kTcpDownlink;
   cfg.speed_mph = 25.0;
   cfg.duration = Time::sec(2);
   cfg.seed = 7;
-  cfg.testbed.trace_path = std::move(trace_path);
+  cfg.testbed.enable_trace = trace;
   return cfg;
 }
 
-std::string run_golden_drive(const std::string& path) {
-  scenario::run_drive(golden_config(path));  // trace flushes on teardown
-  const std::string trace = read_file(path);
-  std::remove(path.c_str());
-  return trace;
+std::string run_golden_drive() {
+  return scenario::run_drive(golden_config(/*trace=*/true)).trace_json;
 }
 
 struct TsCase {
@@ -259,7 +246,7 @@ struct StreamPin {
 void PrintTo(const StreamPin& pin, std::ostream* os) { *os << pin.name; }
 
 TEST(GoldenTraceTest, FixedSeedDriveMatchesPinnedHash) {
-  const std::string trace = run_golden_drive("golden_trace_pin.json");
+  const std::string trace = run_golden_drive();
   ASSERT_FALSE(trace.empty());
   // Structural sanity: a loadable Chrome trace document with real events.
   EXPECT_EQ(trace.find("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), 0u);
@@ -338,7 +325,7 @@ constexpr StreamPin kStreamPins[] = {
 
 /// Golden config with every JSONL/CSV stream on.
 scenario::DriveScenarioConfig all_streams_config() {
-  scenario::DriveScenarioConfig cfg = golden_config({});
+  scenario::DriveScenarioConfig cfg = golden_config();
   cfg.testbed.enable_decision_log = true;
   cfg.testbed.enable_telemetry = true;
   cfg.testbed.enable_packet_log = true;
@@ -379,9 +366,8 @@ bool static_esnr_column(const scenario::TelemetryTable& t) {
 /// A switch-path drive: the golden drive under `policy` and `faults`, with
 /// the decision, packet and causal streams and the Chrome trace on.
 scenario::DriveScenarioConfig switch_path_config(const std::string& policy,
-                                                 const std::string& faults,
-                                                 std::string trace_path) {
-  scenario::DriveScenarioConfig cfg = golden_config(std::move(trace_path));
+                                                 const std::string& faults) {
+  scenario::DriveScenarioConfig cfg = golden_config(/*trace=*/true);
   cfg.testbed.enable_decision_log = true;
   cfg.testbed.enable_packet_log = true;
   cfg.testbed.enable_causal = true;
@@ -394,8 +380,6 @@ scenario::DriveScenarioConfig switch_path_config(const std::string& policy,
 /// name is the golden drive's).  Runs only the drive that stream comes from:
 /// ctest runs each pin in its own process, in parallel.
 std::string pinned_stream(std::string_view name) {
-  // Concurrent pin processes share the working directory.
-  const std::string trace_path = "pin_" + std::string(name) + ".json";
   const std::size_t sep = name.find('_');
   const std::string_view drive =
       sep == std::string_view::npos ? "" : name.substr(0, sep);
@@ -408,14 +392,13 @@ std::string pinned_stream(std::string_view name) {
         sim::FaultPlan::control_chaos(1.5, cfg.duration, 8, cfg.seed);
     EXPECT_FALSE(cfg.testbed.faults.empty());
   } else if (drive == "mbb") {
-    cfg = switch_path_config("make_before_break", "", trace_path);
+    cfg = switch_path_config("make_before_break", "");
   } else if (drive == "bicast") {
-    cfg = switch_path_config("bicast:hold_ms=50", "", trace_path);
+    cfg = switch_path_config("bicast:hold_ms=50", "");
   } else if (drive == "failover") {
     cfg = switch_path_config("median_esnr",
                              "ap_crash:ap=2,at=1800ms,for=500ms;"
-                             "ap_crash:ap=3,at=2500ms,for=500ms",
-                             trace_path);
+                             "ap_crash:ap=3,at=2500ms,for=500ms");
     cfg.duration = Time::ms(3500);
   } else if (drive == "parked") {
     cfg.speed_mph = 0.0;
@@ -424,11 +407,6 @@ std::string pinned_stream(std::string_view name) {
     ADD_FAILURE() << "unknown drive " << drive;
   }
   const scenario::DriveResult r = scenario::run_drive(cfg);
-  std::string trace;
-  if (!cfg.testbed.trace_path.empty()) {
-    trace = read_file(trace_path);
-    std::remove(trace_path.c_str());
-  }
 
   // Each switch-path drive must still take its path, or its pins would
   // silently stop covering it.
@@ -450,7 +428,7 @@ std::string pinned_stream(std::string_view name) {
   if (name == "packets") return r.packet_jsonl;
   if (name == "causal") return r.causal_jsonl;
   if (name == "health") return r.health_jsonl;
-  if (name == "trace") return trace;
+  if (name == "trace") return r.trace_json;
   ADD_FAILURE() << "unknown stream " << name;
   return {};
 }
@@ -472,8 +450,8 @@ INSTANTIATE_TEST_SUITE_P(Streams, GoldenStreamTest,
                          });
 
 TEST(GoldenTraceTest, ByteIdenticalAcrossRunsAndParallelSweep) {
-  const std::string first = run_golden_drive("golden_trace_a.json");
-  const std::string second = run_golden_drive("golden_trace_b.json");
+  const std::string first = run_golden_drive();
+  const std::string second = run_golden_drive();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second) << "repeat run produced a different trace";
 
@@ -481,18 +459,17 @@ TEST(GoldenTraceTest, ByteIdenticalAcrossRunsAndParallelSweep) {
   // which thread ran the simulation.  The other runs vary seed/system so
   // the workers genuinely interleave different sims.
   std::vector<scenario::DriveScenarioConfig> configs;
-  configs.push_back(golden_config("golden_trace_sweep.json"));
+  configs.push_back(golden_config(/*trace=*/true));
   for (std::uint64_t seed : {8, 9, 10}) {
-    scenario::DriveScenarioConfig cfg = golden_config({});
+    scenario::DriveScenarioConfig cfg = golden_config();
     cfg.seed = seed;
     if (seed == 9) cfg.system = scenario::SystemType::kEnhanced80211r;
     configs.push_back(cfg);
   }
   scenario::SweepRunner runner(scenario::SweepOptions{.jobs = 4});
-  runner.run(configs);
-  const std::string swept = read_file("golden_trace_sweep.json");
-  std::remove("golden_trace_sweep.json");
-  EXPECT_EQ(first, swept) << "parallel sweep produced a different trace";
+  const scenario::SweepOutcome outcome = runner.run(configs);
+  EXPECT_EQ(first, outcome.runs[0].result.trace_json)
+      << "parallel sweep produced a different trace";
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +478,7 @@ TEST(GoldenTraceTest, ByteIdenticalAcrossRunsAndParallelSweep) {
 
 /// Golden config plus the observability layer this suite locks down.
 scenario::DriveScenarioConfig observed_config() {
-  scenario::DriveScenarioConfig cfg = golden_config({});
+  scenario::DriveScenarioConfig cfg = golden_config();
   cfg.testbed.enable_decision_log = true;
   cfg.testbed.enable_telemetry = true;
   cfg.testbed.telemetry_period = Time::ms(100);
@@ -622,7 +599,7 @@ TEST(TelemetryTest, CsvTimestampsStayExactAtSoakHorizons) {
 
 TEST(ProfilerTest, RunProfileIsNonEmptyAndBoundedByWallTime) {
   const std::int64_t start = prof::Profiler::now_ns();
-  const scenario::DriveResult r = scenario::run_drive(golden_config({}));
+  const scenario::DriveResult r = scenario::run_drive(golden_config());
   const std::int64_t wall_ns = prof::Profiler::now_ns() - start;
   ASSERT_FALSE(r.profile.empty());
   // Exclusive self-time: the per-section totals can never sum past the
@@ -640,7 +617,7 @@ TEST(ProfilerTest, RunProfileIsNonEmptyAndBoundedByWallTime) {
   scenario::SweepReport report;
   report.bench_id = "unit";
   report.runs.push_back(
-      scenario::make_run_report("run", golden_config({}), r, 1.0));
+      scenario::make_run_report("run", golden_config(), r, 1.0));
   JsonValue parsed;
   std::string err;
   ASSERT_TRUE(json_parse(report.to_json(), parsed, &err)) << err;
@@ -653,7 +630,7 @@ TEST(ProfilerTest, RunProfileIsNonEmptyAndBoundedByWallTime) {
 TEST(GoldenTraceTest, MetricsSnapshotIdenticalAcrossRunsAndJson) {
   // Metrics ride the same determinism guarantee as the trace: snapshot JSON
   // (ordered maps, %.10g doubles) must be byte-stable for a fixed seed.
-  const auto cfg = golden_config({});
+  const auto cfg = golden_config();
   const std::string a = scenario::run_drive(cfg).metrics.to_json();
   const std::string b = scenario::run_drive(cfg).metrics.to_json();
   ASSERT_FALSE(a.empty());
