@@ -89,23 +89,17 @@ void ChannelModel::refresh_fading(Link& l, double travelled) const {
   static_assert(phy::kNumSubcarriers == kNumSubcarriers);
   l.fading->response(travelled, ht20_subcarrier_offsets_hz(),
                      std::span<std::complex<double>>(l.h.data(), l.h.size()));
-  if (vecm::available()) {
-    // Batched 10*log10 over the squared magnitudes; the floor test reads
-    // the exact h2, so the -120 dB clamp binds identically to the scalar
-    // path (lanes under the floor may produce -inf and are discarded).
-    std::array<double, kNumSubcarriers> h2;
-    for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
-      h2[k] = std::norm(l.h[k]);
-    }
-    vecm::linear_to_db(h2.data(), l.fade_db.data(), kNumSubcarriers);
-    for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
-      if (!(h2[k] > 1e-12)) l.fade_db[k] = -120.0;
-    }
-  } else {
-    for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
-      const double h2 = std::norm(l.h[k]);
-      l.fade_db[k] = h2 > 1e-12 ? linear_to_db(h2) : -120.0;
-    }
+  // Batched 10*log10 over the squared magnitudes; the floor test reads the
+  // exact h2, so the -120 dB clamp binds on the same subcarriers whichever
+  // kernel vecm runs (lanes under the floor may produce -inf and are
+  // discarded).
+  std::array<double, kNumSubcarriers> h2;
+  for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
+    h2[k] = std::norm(l.h[k]);
+  }
+  vecm::linear_to_db(h2.data(), l.fade_db.data(), kNumSubcarriers);
+  for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
+    if (!(h2[k] > 1e-12)) l.fade_db[k] = -120.0;
   }
   l.h_distance = travelled;
   l.h_valid = true;
@@ -144,23 +138,17 @@ ChannelModel::Sample& ChannelModel::sample(Direction dir, net::NodeId ap_id,
   if (with_rssi && !s.rssi_valid) {
     // The other direction may have moved the fading memo since the miss.
     refresh_fading(l, travelled);
+    // Batch the 56 pow(10, x/10) calls of the RSSI power sum; the sum
+    // itself stays sequential in subcarrier order (reference association).
+    std::array<double, kNumSubcarriers> rx_dbm;
+    std::array<double, kNumSubcarriers> rx_mw;
+    for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
+      rx_dbm[k] = base_dbm + l.fade_db[k];
+    }
+    vecm::db_to_linear(rx_dbm.data(), rx_mw.data(), kNumSubcarriers);
     double wideband_mw = 0.0;
-    if (vecm::available()) {
-      // Batch the 56 pow(10, x/10) calls of the RSSI power sum; the sum
-      // itself stays sequential in subcarrier order (reference association).
-      std::array<double, kNumSubcarriers> rx_dbm;
-      std::array<double, kNumSubcarriers> rx_mw;
-      for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
-        rx_dbm[k] = base_dbm + l.fade_db[k];
-      }
-      vecm::db_to_linear(rx_dbm.data(), rx_mw.data(), kNumSubcarriers);
-      for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
-        wideband_mw += rx_mw[k];
-      }
-    } else {
-      for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
-        wideband_mw += dbm_to_mw(base_dbm + l.fade_db[k]);
-      }
+    for (std::size_t k = 0; k < kNumSubcarriers; ++k) {
+      wideband_mw += rx_mw[k];
     }
     s.rssi_dbm =
         mw_to_dbm(wideband_mw / static_cast<double>(kNumSubcarriers));

@@ -9,14 +9,6 @@
 
 namespace wgtt::channel {
 
-namespace {
-// Twiddle caching is keyed by grid contents; cap the number of distinct
-// grids one process will cache so adversarial callers (tests sweeping many
-// grids) cannot grow memory without bound.  Past the cap, response() falls
-// back to computing twiddles inline — same expressions, just uncached.
-constexpr std::size_t kMaxCachedGrids = 8;
-}  // namespace
-
 FadingProcess::FadingProcess(FadingConfig cfg, Rng rng) {
   // Normalise tap powers to sum to 1.
   double total = 0.0;
@@ -62,7 +54,7 @@ void FadingProcess::batch_tap_gains(double distance_m,
   scratch_sin_.resize(total);
   // The affine argument is built with the exact reference expression
   // (freq * d + phase, one multiply and one add); only the cos/sin sweep
-  // itself goes through the ULP-bounded vector kernels.
+  // itself goes through vecm, ULP-bounded on its AVX2 path.
   for (std::size_t i = 0; i < total; ++i) {
     scratch_arg_[i] = sin_spatial_freq_[i] * distance_m + sin_phase_[i];
   }
@@ -91,39 +83,17 @@ void FadingProcess::batch_tap_gains(double distance_m,
   }
 }
 
-std::complex<double> FadingProcess::tap_gain(const Tap& tap,
-                                             double distance_m) const {
-  double re = 0.0;
-  double im = 0.0;
-  const double* freq = sin_spatial_freq_.data() + tap.sin_begin;
-  const double* phase = sin_phase_.data() + tap.sin_begin;
-  for (std::size_t i = 0; i < tap.sin_count; ++i) {
-    const double arg = freq[i] * distance_m + phase[i];
-    re += std::cos(arg);
-    im += std::sin(arg);
-  }
-  std::complex<double> g{re * tap.nlos_fraction, im * tap.nlos_fraction};
-  if (tap.los_fraction > 0.0) {
-    const double arg = tap.los_spatial_freq * distance_m + tap.los_phase;
-    g += std::complex<double>{tap.los_fraction * std::cos(arg),
-                              tap.los_fraction * std::sin(arg)};
-  }
-  return g * tap.amplitude;
-}
-
-const FadingProcess::TwiddleCache* FadingProcess::twiddles_for(
+const std::complex<double>* FadingProcess::twiddles_for(
     std::span<const double> subcarrier_offsets_hz) const {
-  for (const TwiddleCache& c : twiddles_) {
-    if (c.offsets_hz.size() == subcarrier_offsets_hz.size() &&
-        std::equal(c.offsets_hz.begin(), c.offsets_hz.end(),
-                   subcarrier_offsets_hz.begin())) {
-      return &c;
-    }
+  TwiddleCache& c = twiddles_;
+  if (c.offsets_hz.size() == subcarrier_offsets_hz.size() &&
+      std::equal(c.offsets_hz.begin(), c.offsets_hz.end(),
+                 subcarrier_offsets_hz.begin())) {
+    return c.rows.data();
   }
-  if (twiddles_.size() >= kMaxCachedGrids) return nullptr;
-  TwiddleCache c;
   c.offsets_hz.assign(subcarrier_offsets_hz.begin(),
                       subcarrier_offsets_hz.end());
+  c.rows.clear();
   c.rows.reserve(taps_.size() * subcarrier_offsets_hz.size());
   for (const auto& tap : taps_) {
     for (std::size_t k = 0; k < subcarrier_offsets_hz.size(); ++k) {
@@ -134,8 +104,7 @@ const FadingProcess::TwiddleCache* FadingProcess::twiddles_for(
       c.rows.emplace_back(std::cos(arg), std::sin(arg));
     }
   }
-  twiddles_.push_back(std::move(c));
-  return &twiddles_.back();
+  return c.rows.data();
 }
 
 void FadingProcess::response(double distance_m,
@@ -143,33 +112,14 @@ void FadingProcess::response(double distance_m,
                              std::span<std::complex<double>> out) const {
   for (auto& h : out) h = {0.0, 0.0};
   scratch_gain_.resize(taps_.size());
-  if (vecm::available()) {
-    batch_tap_gains(distance_m, scratch_gain_.data());
-  } else {
-    for (std::size_t t = 0; t < taps_.size(); ++t) {
-      scratch_gain_[t] = tap_gain(taps_[t], distance_m);
-    }
-  }
-  const TwiddleCache* cache = twiddles_for(subcarrier_offsets_hz);
-  if (cache != nullptr) {
-    const std::complex<double>* row = cache->rows.data();
-    for (std::size_t t = 0; t < taps_.size(); ++t) {
-      const std::complex<double> g = scratch_gain_[t];
-      for (std::size_t k = 0; k < out.size(); ++k) {
-        out[k] += g * row[k];
-      }
-      row += subcarrier_offsets_hz.size();
-    }
-    return;
-  }
-  // Cache capacity exhausted: compute twiddles inline (the original loop).
+  batch_tap_gains(distance_m, scratch_gain_.data());
+  const std::complex<double>* row = twiddles_for(subcarrier_offsets_hz);
   for (std::size_t t = 0; t < taps_.size(); ++t) {
     const std::complex<double> g = scratch_gain_[t];
     for (std::size_t k = 0; k < out.size(); ++k) {
-      const double arg =
-          -2.0 * kPi * subcarrier_offsets_hz[k] * taps_[t].delay_s;
-      out[k] += g * std::complex<double>{std::cos(arg), std::sin(arg)};
+      out[k] += g * row[k];
     }
+    row += subcarrier_offsets_hz.size();
   }
 }
 

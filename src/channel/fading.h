@@ -49,10 +49,10 @@ struct FadingConfig {
 /// is computed once per grid and cached, turning the inner response loop
 /// into a complex multiply-add over precomputed rows.  Sinusoid state is
 /// one flat SoA pair (spatial_freq / phase) shared by all taps so the
-/// per-sample cos/sin sweep runs over contiguous memory; when the libmvec
-/// kernels are available (vecm::available()) that sweep is vectorized,
-/// which bounds the divergence from the reference at a few ulp per
-/// sinusoid instead of bitwise identity.  Every other expression is kept
+/// per-sample cos/sin sweep runs over contiguous memory in one
+/// vecm::sin_cos call.  On its AVX2 path that sweep bounds the divergence
+/// from the reference at a few ulp per sinusoid; on its scalar path the
+/// response is bitwise the reference's.  Every other expression is kept
 /// verbatim from the reference — the sums over sinusoids, the LOS term,
 /// and the twiddle accumulation keep the reference association exactly —
 /// so tests/fading_diff_test.cpp can pin a tight ULP bound.
@@ -84,26 +84,26 @@ class FadingProcess {
     std::size_t sin_begin = 0;    // first sinusoid in the flat SoA arrays
     std::size_t sin_count = 0;
   };
-  /// Distance-independent per-grid twiddle rows, taps x subcarriers.  Keyed
-  /// by the grid *contents* (spans may point at reused stack storage), built
-  /// lazily on first use; the simulation only ever presents the HT20 grid,
-  /// so this holds one entry in practice.
+  /// Distance-independent twiddle rows, taps x subcarriers, of one grid.
+  /// Keyed by the grid *contents* (spans may point at reused stack storage)
+  /// and rebuilt when a different grid arrives; the simulation only ever
+  /// presents the HT20 grid, so each process builds it once.
   struct TwiddleCache {
     std::vector<double> offsets_hz;
     std::vector<std::complex<double>> rows;  // taps_.size() * offsets size
   };
 
-  std::complex<double> tap_gain(const Tap& tap, double distance_m) const;
-  /// All taps' gains at one distance: one vectorized cos/sin sweep over the
-  /// flat sinusoid arrays, then per-tap reductions in reference order.
+  /// All taps' gains at one distance: one vecm cos/sin sweep over the flat
+  /// sinusoid arrays, then per-tap reductions in reference order.
   void batch_tap_gains(double distance_m, std::complex<double>* gains) const;
-  const TwiddleCache* twiddles_for(
+  /// The twiddle rows of this grid, rebuilding the cache if it holds another.
+  const std::complex<double>* twiddles_for(
       std::span<const double> subcarrier_offsets_hz) const;
 
   std::vector<Tap> taps_;
   std::vector<double> sin_spatial_freq_;  // k * cos(theta_n), all taps, SoA
   std::vector<double> sin_phase_;
-  mutable std::vector<TwiddleCache> twiddles_;
+  mutable TwiddleCache twiddles_;
   // Per-call scratch for the vectorized sweep (single-simulation objects
   // are single-threaded, like the twiddle cache above).
   mutable std::vector<double> scratch_arg_, scratch_cos_, scratch_sin_;

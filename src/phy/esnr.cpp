@@ -95,11 +95,13 @@ const BerTable& ber_table(Modulation mod) {
   return bpsk;
 }
 
-// Vectorized mean-BER: batch the per-subcarrier pow into one exp10 sweep
-// and the erfc tail into one erfc sweep, with every surrounding arithmetic
-// step (scale, divide, sqrt, final sum) kept in the reference expression
-// order so the only divergence from reference_effective_snr_db() is the
-// per-element ulps of exp10-vs-pow and vector-vs-scalar erfc.
+// Vectorized mean-BER: batch the per-subcarrier pow into one vecm
+// db_to_linear sweep and the erfc tail into one vecm erfc sweep, with every
+// surrounding arithmetic step (scale, divide, sqrt, final sum) kept in the
+// reference expression order.  The only divergence from
+// reference_effective_snr_db() is the per-element ulps of vecm's AVX2
+// exp10-vs-pow and vector-vs-scalar erfc; its scalar loops are bitwise the
+// reference's.
 constexpr std::size_t kMaxVecSubcarriers = 64;
 
 double vectorized_mean_ber(std::span<const double> subcarrier_snr_db,
@@ -173,7 +175,7 @@ double reference_effective_snr_db(std::span<const double> subcarrier_snr_db,
 double effective_snr_db(std::span<const double> subcarrier_snr_db,
                         Modulation mod) {
   const std::size_t n = subcarrier_snr_db.size();
-  if (n == 0 || n > kMaxVecSubcarriers || !vecm::available()) {
+  if (n == 0 || n > kMaxVecSubcarriers) {
     return reference_effective_snr_db(subcarrier_snr_db, mod);
   }
   const double mean_ber = vectorized_mean_ber(subcarrier_snr_db, mod);

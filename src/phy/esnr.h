@@ -31,16 +31,18 @@ double effective_snr_db(const Csi& csi, Modulation mod);
 /// entry point for callers that never need the full Csi (RSSI etc.); the
 /// Csi overload delegates here, so both are bitwise-identical.
 ///
-/// Uses the vectorized libmvec kernels when available: results are
-/// ULP-bounded against reference_effective_snr_db(), not bitwise (see
-/// DESIGN.md on the reference-vs-optimized seam).
+/// Runs the mean-BER sweep through the vecm kernels: on their AVX2 path
+/// results are ULP-bounded against reference_effective_snr_db(), not
+/// bitwise; on their scalar path they are bitwise equal (see DESIGN.md on
+/// the reference-vs-optimized seam).
 double effective_snr_db(std::span<const double> subcarrier_snr_db,
                         Modulation mod);
 
 /// The retained scalar reference: per-subcarrier pow/erfc through libm,
 /// exactly the pre-optimization implementation.  The differential suite
-/// asserts effective_snr_db() stays within tight bounds of this, and it is
-/// the runtime fallback when vecm::available() is false.
+/// asserts effective_snr_db() stays within tight bounds of this, and
+/// effective_snr_db() hands it the spans its fixed-size sweep cannot take:
+/// empty ones and ones wider than 64 subcarriers.
 double reference_effective_snr_db(std::span<const double> subcarrier_snr_db,
                                   Modulation mod);
 

@@ -1,22 +1,22 @@
 // Vectorized elementary-function kernels for the hot paths.
 //
-// These wrap glibc's libmvec AVX2 variants (_ZGVdN4v_exp10 & friends) behind
-// plain double-array entry points.  They are the "optimized" side of the
-// reference-vs-optimized seam (DESIGN.md): results are NOT bitwise identical
-// to scalar libm — libmvec documents a worst-case error of 4 ulp per element
-// — so every consumer keeps the original scalar implementation alive
-// (channel::ReferenceFading beside the differential suite in tests/, and
-// phy::reference_effective_snr_db, also the runtime fallback) and the
-// differential suite (tests/fading_diff_test.cpp) bounds the divergence.
+// Each kernel makes the AVX2-or-scalar choice itself, so its callers keep
+// one code path: when available(), it runs glibc's libmvec AVX2 variant
+// (_ZGVdN4v_exp10 & friends, util/vec_math_avx2.cpp); otherwise it runs a
+// scalar libm loop written with the reference expression.
+//
+// The AVX2 results are NOT bitwise identical to scalar libm — libmvec
+// documents a worst-case error of 4 ulp per element — so the original
+// scalar implementations stay alive as references (channel::ReferenceFading
+// in tests/, phy::reference_effective_snr_db) and the differential suite
+// (tests/fading_diff_test.cpp) bounds the divergence.  The scalar loops are
+// bit-identical to the references: on a host without AVX2, or in a build
+// without libmvec, the suite asserts bitwise equality.  The canonical golden
+// hashes are pinned from the AVX2 path.
 //
 // Consumers must preserve the reference summation ORDER when they reduce
 // vectorized elements, so the seam's only divergence is per-element ulps
 // from the transcendental kernels, never reassociation.
-//
-// When libmvec or AVX2 is unavailable (non-x86-64, non-glibc, old CPU),
-// available() is false and callers fall back to the scalar reference path;
-// outputs are then bit-identical to the pre-optimization simulator, but the
-// canonical golden hashes are pinned from the vectorized path.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,8 @@
 namespace wgtt::vecm {
 
 /// True when the libmvec kernels were compiled in AND the CPU supports
-/// AVX2.  Constant after first call; cheap to query on hot paths.
+/// AVX2, i.e. when the kernels below run their AVX2 sweeps.  Constant after
+/// the first call.
 bool available();
 
 /// out[i] = pow(10, x[i] / 10)  — db_to_linear / dbm_to_mw, <= ~4 ulp.

@@ -7,9 +7,10 @@
 // suite pins the equivalence contract between the two sides:
 //
 //  * Bitwise identity where the optimization only moves work around
-//    (twiddle caching, SoA layout, memoization): enforced whenever the
-//    vectorized kernels are unavailable, since every expression then runs
-//    on scalar libm in the reference association.
+//    (twiddle caching, SoA layout, memoization): enforced whenever vecm
+//    runs its scalar loops (no AVX2, or a build without libmvec), since
+//    every expression then runs on scalar libm in the reference
+//    association.
 //  * ULP-bounded equality where the vectorized libmvec kernels are in play
 //    (vecm::available()): the per-element transcendentals are documented
 //    within 4 ulp of scalar libm, every surrounding sum keeps the reference
@@ -234,8 +235,9 @@ TEST(FadingDiff, RngDrawOrderPinnedBySingleTapPrediction) {
   EXPECT_EQ(h[0].imag(), expected.imag());
 }
 
-// Same seed must give the same realisation through both classes even when
-// the twiddle-cache capacity is exhausted (the inline-fallback loop).
+// Same seed must give the same realisation through both classes when the
+// grid changes on every call, so each call rebuilds the one-grid twiddle
+// cache.
 TEST(FadingDiff, TwiddleCacheOverflowFallsBackToSameMath) {
   FadingConfig cfg;
   cfg.sinusoids_per_tap = 4;
@@ -243,7 +245,6 @@ TEST(FadingDiff, TwiddleCacheOverflowFallsBackToSameMath) {
   const ReferenceFading ref(cfg, Rng(77).fork(1));
   const double bound = response_error_bound(opt, cfg.sinusoids_per_tap);
   Rng grid_rng(5150);
-  // More than kMaxCachedGrids (8) distinct grids forces the uncached path.
   for (int g = 0; g < 12; ++g) {
     std::vector<double> grid(4);
     for (double& f : grid) f = grid_rng.uniform(-15e6, 15e6);
