@@ -24,6 +24,8 @@ using namespace wgtt;
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parse_args(argc, argv);
+  // The bench samples its own telemetry table; no other stream is wired.
+  args.refuse_outputs("--telemetry");
   bench::header("Fig. 2", "ESNR vs time for 3 APs; best-AP flips at ms scale");
 
   scenario::TestbedConfig tb;

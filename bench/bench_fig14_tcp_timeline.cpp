@@ -9,8 +9,9 @@
 // throughput through the whole transit; the baseline's throughput crashes
 // to zero mid-transit and a TCP timeout follows.
 //
-// Pass --telemetry [PATH] to keep the WGTT run's full CSV (default
-// TELEMETRY_fig14_tcp_timeline.csv); --force overwrites an existing file.
+// The output flags (--telemetry, --packets, --decisions, ...; see --help)
+// write the WGTT run's streams, e.g. its full telemetry CSV to
+// TELEMETRY_fig14_tcp_timeline.csv; --force overwrites an existing file.
 
 #include <cstdio>
 
@@ -22,25 +23,9 @@ using namespace wgtt;
 
 namespace {
 
-/// First column whose name ends with `suffix` (the client NodeId embedded in
-/// the column prefix is assigned by the testbed, so benches match by suffix).
-std::size_t col_by_suffix(const scenario::TelemetryTable& table,
-                          const std::string& suffix) {
-  for (std::size_t i = 0; i < table.columns.size(); ++i) {
-    const std::string& name = table.columns[i].name;
-    if (name.size() >= suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      return i;
-    }
-  }
-  return scenario::TelemetryTable::npos;
-}
-
-void print_run(const char* name, scenario::SystemType sys,
-               const bench::BenchArgs& args,
-               const std::string& telemetry_path,
-               const std::string& packets_path, std::uint32_t packet_sample) {
+/// One drive of the figure: TCP downlink at 15 mph, telemetry every 500 ms.
+scenario::DriveScenarioConfig timeline_config(scenario::SystemType sys,
+                                              const bench::BenchArgs& args) {
   scenario::DriveScenarioConfig cfg;
   cfg.system = sys;
   args.apply_policy(cfg);
@@ -49,20 +34,18 @@ void print_run(const char* name, scenario::SystemType sys,
   cfg.seed = 42;
   cfg.testbed.enable_telemetry = true;
   cfg.testbed.telemetry_period = Time::ms(500);
-  cfg.testbed.enable_packet_log = !packets_path.empty();
-  cfg.testbed.packet_sample = packet_sample;
-  auto r = scenario::run_drive(cfg);
-  if (!telemetry_path.empty()) {
-    bench::write_output(telemetry_path, r.telemetry.to_csv());
-  }
-  if (!packets_path.empty()) bench::write_output(packets_path, r.packet_jsonl);
+  return cfg;
+}
+
+void print_run(const char* name, const scenario::DriveResult& r) {
   const auto& c = r.clients.front();
 
   std::printf("\n--- %s ---\n", name);
   const scenario::TelemetryTable& table = r.telemetry;
-  const std::size_t col_goodput = col_by_suffix(table, ".goodput_mbps");
-  const std::size_t col_ap = col_by_suffix(table, ".ap");
-  const std::size_t col_cwnd = col_by_suffix(table, ".cwnd");
+  const std::size_t col_goodput =
+      bench::col_by_suffix(table, ".goodput_mbps");
+  const std::size_t col_ap = bench::col_by_suffix(table, ".ap");
+  const std::size_t col_cwnd = bench::col_by_suffix(table, ".cwnd");
   double max_mbps = 1.0;
   for (const auto& row : table.rows) {
     max_mbps = std::max(max_mbps, row[col_goodput]);
@@ -96,24 +79,16 @@ void print_run(const char* name, scenario::SystemType sys,
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parse_args(argc, argv);
   bench::header("Fig. 14", "TCP throughput + AP timeline at 15 mph");
-  std::string csv_path;
-  if (args.telemetry) {
-    csv_path = bench::claim_output_path(
-        args.telemetry_path.empty() ? "TELEMETRY_fig14_tcp_timeline.csv"
-                                    : args.telemetry_path,
-        args.force, "telemetry");
-  }
-  std::string packets_path;
-  if (args.packets) {
-    packets_path = bench::claim_output_path(
-        args.packets_path.empty() ? "PACKETS_fig14_tcp_timeline.jsonl"
-                                  : args.packets_path,
-        args.force, "packets");
-  }
-  print_run("WGTT", scenario::SystemType::kWgtt, args, csv_path, packets_path,
-            args.packet_sample);
-  print_run("Enhanced 802.11r", scenario::SystemType::kEnhanced80211r, args,
-            {}, {}, 1);
+  scenario::DriveScenarioConfig wgtt =
+      timeline_config(scenario::SystemType::kWgtt, args);
+  const bench::Outputs outputs =
+      args.apply_outputs(wgtt, "fig14_tcp_timeline");
+  const scenario::DriveResult result = scenario::run_drive(wgtt);
+  outputs.write(result);
+  print_run("WGTT", result);
+  print_run("Enhanced 802.11r",
+            scenario::run_drive(timeline_config(
+                scenario::SystemType::kEnhanced80211r, args)));
   std::printf("\npaper: WGTT switches ~5x/s and holds ~5 Mb/s steadily; the\n"
               "baseline rises then collapses to zero with a TCP timeout\n"
               "mid-transit.\n");

@@ -9,8 +9,9 @@
 // rate); Enhanced 802.11r switches only ~3 times in the whole 10 s transit
 // and its throughput swings wildly.
 //
-// Pass --telemetry [PATH] to keep the WGTT run's full CSV (default
-// TELEMETRY_fig15_udp_timeline.csv); --force overwrites an existing file.
+// The output flags (--telemetry, --packets, --decisions, ...; see --help)
+// write the WGTT run's streams, e.g. its full telemetry CSV to
+// TELEMETRY_fig15_udp_timeline.csv; --force overwrites an existing file.
 
 #include <cstdio>
 
@@ -23,22 +24,10 @@ using namespace wgtt;
 
 namespace {
 
-std::size_t col_by_suffix(const scenario::TelemetryTable& table,
-                          const std::string& suffix) {
-  for (std::size_t i = 0; i < table.columns.size(); ++i) {
-    const std::string& name = table.columns[i].name;
-    if (name.size() >= suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      return i;
-    }
-  }
-  return scenario::TelemetryTable::npos;
-}
-
-void print_run(const char* name, scenario::SystemType sys,
-               const bench::BenchArgs& args,
-               const std::string& telemetry_path) {
+/// One drive of the figure: 15 Mb/s UDP downlink at 15 mph, telemetry every
+/// 500 ms.
+scenario::DriveScenarioConfig timeline_config(scenario::SystemType sys,
+                                              const bench::BenchArgs& args) {
   scenario::DriveScenarioConfig cfg;
   cfg.system = sys;
   args.apply_policy(cfg);
@@ -48,16 +37,17 @@ void print_run(const char* name, scenario::SystemType sys,
   cfg.seed = 42;
   cfg.testbed.enable_telemetry = true;
   cfg.testbed.telemetry_period = Time::ms(500);
-  auto r = scenario::run_drive(cfg);
-  if (!telemetry_path.empty()) {
-    bench::write_output(telemetry_path, r.telemetry.to_csv());
-  }
+  return cfg;
+}
+
+void print_run(const char* name, const scenario::DriveResult& r) {
   const auto& c = r.clients.front();
 
   std::printf("\n--- %s ---\n", name);
   const scenario::TelemetryTable& table = r.telemetry;
-  const std::size_t col_goodput = col_by_suffix(table, ".goodput_mbps");
-  const std::size_t col_ap = col_by_suffix(table, ".ap");
+  const std::size_t col_goodput =
+      bench::col_by_suffix(table, ".goodput_mbps");
+  const std::size_t col_ap = bench::col_by_suffix(table, ".ap");
   std::printf("%-7s %-8s %-10s %s\n", "t(s)", "Mb/s", "bitrate", "AP");
   for (std::size_t i = 0; i < table.row_count(); ++i) {
     const auto& row = table.rows[i];
@@ -87,16 +77,16 @@ void print_run(const char* name, scenario::SystemType sys,
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parse_args(argc, argv);
   bench::header("Fig. 15", "UDP throughput + bit rate + AP timeline, 15 mph");
-  std::string csv_path;
-  if (args.telemetry) {
-    csv_path = bench::claim_output_path(
-        args.telemetry_path.empty() ? "TELEMETRY_fig15_udp_timeline.csv"
-                                    : args.telemetry_path,
-        args.force, "telemetry");
-  }
-  print_run("WGTT", scenario::SystemType::kWgtt, args, csv_path);
-  print_run("Enhanced 802.11r", scenario::SystemType::kEnhanced80211r, args,
-            {});
+  scenario::DriveScenarioConfig wgtt =
+      timeline_config(scenario::SystemType::kWgtt, args);
+  const bench::Outputs outputs =
+      args.apply_outputs(wgtt, "fig15_udp_timeline");
+  const scenario::DriveResult result = scenario::run_drive(wgtt);
+  outputs.write(result);
+  print_run("WGTT", result);
+  print_run("Enhanced 802.11r",
+            scenario::run_drive(timeline_config(
+                scenario::SystemType::kEnhanced80211r, args)));
   std::printf("\npaper: WGTT switches frequently and keeps a stable rate;\n"
               "Enhanced 802.11r switches only ~3 times in 10 s with low,\n"
               "unstable throughput.\n");

@@ -33,11 +33,9 @@ struct TraceSample {
   std::map<net::NodeId, double> uplink_esnr;    // what CSI reports would say
 };
 
-std::vector<TraceSample> record_trace(std::uint64_t seed,
-                                      const std::string& trace_path = {}) {
+std::vector<TraceSample> record_trace(std::uint64_t seed) {
   scenario::TestbedConfig tb;
   tb.seed = seed;
-  tb.enable_trace = !trace_path.empty();
   scenario::Testbed bed(tb);
   scenario::WgttNetwork net(bed);
   const net::NodeId client =
@@ -56,9 +54,6 @@ std::vector<TraceSample> record_trace(std::uint64_t seed,
           phy::selection_esnr_db(bed.channel().uplink_csi(ap, client, t));
     }
     trace.push_back(std::move(s));
-  }
-  if (trace::Tracer* tracer = bed.obs().tracer) {
-    bench::write_output(trace_path, tracer->finish());
   }
   return trace;
 }
@@ -123,6 +118,9 @@ double replay(const std::vector<TraceSample>& trace, Time window) {
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parse_args(argc, argv);
+  // The recordings read the channel without running the scheduler, so no
+  // observer stream would record anything.
+  args.refuse_outputs();
   bench::header("Fig. 21", "capacity loss vs AP-selection window size W");
 
   const std::size_t jobs = scenario::SweepRunner::resolve_jobs(args.sweep.jobs);
@@ -132,12 +130,7 @@ int main(int argc, char** argv) {
   // so they record in parallel.
   std::vector<std::vector<TraceSample>> traces(10);
   scenario::parallel_for(traces.size(), jobs, [&](std::size_t i) {
-    traces[i] = record_trace(
-        static_cast<std::uint64_t>(i) + 1,
-        i == 0 && args.trace ? (args.trace_path.empty()
-                                    ? "TRACE_fig21_window_size.json"
-                                    : args.trace_path)
-                             : std::string{});
+    traces[i] = record_trace(static_cast<std::uint64_t>(i) + 1);
   });
 
   scenario::SweepReport report;

@@ -16,6 +16,7 @@
 #include "core/handoff_policy.h"
 #include "scenario/report.h"
 #include "scenario/sweep.h"
+#include "scenario/telemetry.h"
 #include "sim/fault_plan.h"
 #include "util/json.h"
 
@@ -64,6 +65,22 @@ inline void write_output(const std::string& path, const std::string& bytes) {
   if (!write_text_file(path, bytes)) {
     std::fprintf(stderr, "warning: failed to write %s\n", path.c_str());
   }
+}
+
+/// First telemetry column whose name ends with `suffix`, or npos.  The
+/// client NodeId embedded in a column prefix is assigned by the testbed, so
+/// benches match by suffix.
+inline std::size_t col_by_suffix(const scenario::TelemetryTable& table,
+                                 const std::string& suffix) {
+  for (std::size_t i = 0; i < table.columns.size(); ++i) {
+    const std::string& name = table.columns[i].name;
+    if (name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      return i;
+    }
+  }
+  return scenario::TelemetryTable::npos;
 }
 
 struct OutputOpt;
@@ -150,6 +167,12 @@ struct BenchArgs {
   template <typename DriveConfig>
   [[nodiscard]] Outputs apply_outputs(DriveConfig& cfg,
                                       const std::string& bench_id) const;
+
+  /// For benches that build their own Testbed and so cannot write the
+  /// streams of a DriveResult: exit 2, naming the flag, if any output flag
+  /// other than `keep` (a flag the bench writes itself) was given.  Call it
+  /// before any simulation runs.
+  void refuse_outputs(const char* keep = nullptr) const;
 };
 
 /// One optional per-run output artifact: where its flag parses into
@@ -203,6 +226,16 @@ inline const OutputOpt kOutputOpts[] = {
 
 inline void Outputs::write(const scenario::DriveResult& result) const {
   for (const auto& [opt, path] : files) write_output(path, opt->stream(result));
+}
+
+inline void BenchArgs::refuse_outputs(const char* keep) const {
+  for (const OutputOpt& o : kOutputOpts) {
+    if (!(this->*o.enabled)) continue;
+    if (keep != nullptr && std::strcmp(o.flag, keep) == 0) continue;
+    std::fprintf(stderr, "error: %s is not supported by this bench\n",
+                 o.flag);
+    std::exit(2);
+  }
 }
 
 template <typename DriveConfig>
