@@ -119,7 +119,6 @@ void BaselineAp::on_backhaul_frame(const net::TunneledPacket& frame) {
     if (const auto* flush = net::payload_as<FlushClientMsg>(*inner)) {
       auto it = kernel_queues_.find(flush->client);
       if (it != kernel_queues_.end()) {
-        stale_flushed_ += it->second.size();
         for (const net::PacketPtr& pkt : it->second) {
           obs_.drop(*pkt, sched_.now(), net::Hop::kApDrop, cfg_.id,
                     net::DropCause::kHandoverFlush,
@@ -127,7 +126,7 @@ void BaselineAp::on_backhaul_frame(const net::TunneledPacket& frame) {
         }
         it->second.clear();
       }
-      stale_flushed_ += device_.flush_queue(flush->client);
+      device_.flush_queue(flush->client);
     }
     return;
   }

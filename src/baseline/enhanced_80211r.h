@@ -99,7 +99,6 @@ class BaselineAp {
 
   net::NodeId id() const { return cfg_.id; }
   mac::WifiDevice& device() { return device_; }
-  std::uint64_t stale_packets_flushed() const { return stale_flushed_; }
 
  private:
   void beacon();
@@ -115,7 +114,6 @@ class BaselineAp {
   BaselineApConfig cfg_;
   std::map<net::NodeId, std::deque<net::PacketPtr>> kernel_queues_;
   std::uint16_t next_aid_ = 1;
-  std::uint64_t stale_flushed_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ class ReorderBuffer {
   /// Force-release everything buffered (e.g. teardown).
   void flush_all();
 
-  std::uint16_t window_start() const { return window_start_; }
   std::size_t buffered() const { return buffered_.size(); }
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t duplicates_dropped() const { return duplicates_; }

@@ -76,7 +76,6 @@ void Backhaul::send(TunneledPacket frame) {
   bool reordered = false;
   if (ctrl && fault.reorder_rate > 0.0 && injector_->coin(fault.reorder_rate)) {
     reordered = true;
-    ++frames_reordered_;
     arrival += Time::ns(
         injector_->rng().uniform_int(1, std::max<std::int64_t>(
                                             1, fault.reorder_jitter.to_ns())));
@@ -107,7 +106,6 @@ void Backhaul::send(TunneledPacket frame) {
   // frame (same uid, same ctrl_seq — exactly what a duplicating switch
   // fabric produces).  The copy also bypasses the FIFO book.
   if (ctrl && fault.dup_rate > 0.0 && injector_->coin(fault.dup_rate)) {
-    ++frames_duplicated_;
     const Time dup_arrival =
         arrival + Time::ns(injector_->rng().uniform_int(1, Time::ms(1).to_ns()));
     DeliverFn& dup_deliver = it->second;

@@ -46,10 +46,6 @@ class Backhaul {
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
-  /// Adversarial deliveries manufactured by msg_dup / msg_reorder windows
-  /// (always 0 outside chaos runs).
-  std::uint64_t frames_duplicated() const { return frames_duplicated_; }
-  std::uint64_t frames_reordered() const { return frames_reordered_; }
 
  private:
   Time delivery_delay(std::size_t bytes);
@@ -64,8 +60,6 @@ class Backhaul {
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  std::uint64_t frames_duplicated_ = 0;
-  std::uint64_t frames_reordered_ = 0;
   // Instrumentation (null when the sim has no metrics sink).
   obs::Context obs_ = obs::Context::current();
   metrics::Histogram* m_latency_us_ = nullptr;
