@@ -9,13 +9,13 @@
 //
 // A TelemetrySampler is owned by the Testbed (enabled via TestbedConfig);
 // experiments register probe columns, the sampler ticks every `period`, and
-// the in-memory table is both written as CSV on Testbed teardown and copied
-// into DriveResult so benches print figures from it directly.  All CSV
-// numbers are fixed-point renderings computed with integer arithmetic
-// (timestamps via the tracer's formatter), so a fixed-seed run produces a
-// byte-identical file on any platform.  Probes only observe: the sampler's
-// events interleave with the simulation's, but reading state never changes
-// it — and with telemetry off no events are scheduled at all.
+// the in-memory table is copied into DriveResult, from which benches print
+// figures and write the CSV.  All CSV numbers are fixed-point renderings
+// computed with integer arithmetic (timestamps via the tracer's formatter),
+// so a fixed-seed run produces a byte-identical file on any platform.
+// Probes only observe: the sampler's events interleave with the
+// simulation's, but reading state never changes it — and with telemetry
+// off no events are scheduled at all.
 #pragma once
 
 #include <cstddef>
